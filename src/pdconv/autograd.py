@@ -97,11 +97,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_same_shape(a: Var, b: Var, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-
 # --- elementwise ---------------------------------------------------------
 
 def add(a, b) -> Var:
@@ -221,10 +216,10 @@ def upsample_bilinear(x, out_hw: tuple[int, int]) -> Var:
     ho, wo = out_hw
     ah = _interp_matrix(ho, h, x.value.dtype)
     aw = _interp_matrix(wo, w, x.value.dtype)
-    val = np.einsum("oh,nchw,pw->ncop", ah, x.value, aw)
+    val = ah @ x.value @ aw.T
 
     def bwd(g):
-        return (np.einsum("oh,ncop,pw->nchw", ah, g, aw),)
+        return (ah.T @ g @ aw,)
 
     return Var(val, (x,), bwd)
 

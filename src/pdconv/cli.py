@@ -23,7 +23,7 @@ from .clk import (RF_MODES, analytic_support, clk_flops, large_kernel_flops,
                   receptive_field)
 from .config import load_run_config
 from .errors import ConfigurationError, PdconvError, TrainingDiverged
-from .network import NetConfig, ToyPdcNet, TrainConfig, evaluate, train
+from .network import VARIANTS, NetConfig, ToyPdcNet, TrainConfig, evaluate, train
 from .pdc import alpha_effective, equivalence_deviation, make_pdc_layer, pdc_forward
 from .pdtio import write_pdt
 from .scenes import SceneConfig, gen_scene, load_dataset, save_dataset
@@ -38,15 +38,17 @@ GRADCHECK_TOL = 1e-4
 
 
 def _thread_cap() -> str:
+    """Apply PDCONV_THREADS as a BLAS thread cap; describe what took effect."""
     cap = os.environ.get("PDCONV_THREADS")
     if not cap:
         return "default"
+    if not cap.isdigit() or int(cap) < 1:
+        return f"{cap} (ignored: not a positive integer)"
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
     except ImportError:
-        pass
+        return f"{cap} (ignored: threadpoolctl not installed)"
+    threadpoolctl.threadpool_limits(int(cap))
     return cap
 
 
@@ -264,15 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="JSONL training log path")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--variant", choices=["full", "vanilla-baseline", "swap",
-                                         "pdc-only", "cpdc-only"], default="full")
+    p.add_argument("--variant", choices=VARIANTS, default="full")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--variant", choices=["full", "vanilla-baseline", "swap",
-                                         "pdc-only", "cpdc-only"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--dump-params", action="store_true")
     p.set_defaults(fn=cmd_eval)
     return parser

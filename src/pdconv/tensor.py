@@ -2,8 +2,10 @@
 
 Values are plain numpy arrays in batch-channel-height-width layout, row major.
 All conv paths use zero "same" padding and stride 1 unless a spec says
-otherwise; accumulation order within one output element is kernel-row-major,
-so results are deterministic.
+otherwise.  Dense (non-depthwise) convs run as one BLAS matrix product over
+unrolled input windows, so the reduction order within one output element is
+fixed by that BLAS call: results are bit-identical run to run at a fixed BLAS
+thread count, but may differ in the last bits across thread counts.
 """
 
 from __future__ import annotations
@@ -125,6 +127,38 @@ def _pad(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
+def _taps(spec: ConvSpec, ho: int, wo: int):
+    """Yield (i, j, slice_h, slice_w): the padded-input window each tap reads."""
+    (kh, kw), d, s = spec.kernel, spec.dilation, spec.stride
+    for i in range(kh):
+        for j in range(kw):
+            yield (i, j, slice(i * d, i * d + (ho - 1) * s + 1, s),
+                   slice(j * d, j * d + (wo - 1) * s + 1, s))
+
+
+def _is_plain_1x1(spec: ConvSpec) -> bool:
+    """A 1x1 stride-1 unpadded conv: its input already is its window matrix."""
+    return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad_amount() == (0, 0)
+
+
+def _unrolled(x: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
+    """Input windows laid out for a matrix product, shape (N, G, Cg*kh*kw, Ho*Wo).
+
+    Built as a strided view of the padded input and copied once (im2col).
+    """
+    n, c = x.shape[:2]
+    kh, kw = spec.kernel
+    g, d, s = spec.groups, spec.dilation, spec.stride
+    if _is_plain_1x1(spec):
+        return x.reshape(n, g, c // g, ho * wo)
+    xp = _pad(x, spec)
+    sn, sc, sh, sw = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, ho, wo),
+        strides=(sn, sc, sh * d, sw * d, sh * s, sw * s), writeable=False)
+    return view.reshape(n, g, c // g * kh * kw, ho * wo)
+
+
 def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Zero-padded 2-D convolution (cross-correlation) over NCHW input.
 
@@ -137,27 +171,15 @@ def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> 
     n, c, h, w_in = x.shape
     o, cg, kh, kw = w.shape
     ho, wo = spec.out_spatial(h, w_in)
-    d, s, g = spec.dilation, spec.stride, spec.groups
-    xp = _pad(x, spec)
-    out = np.zeros((n, o, ho, wo), dtype=x.dtype)
+    g = spec.groups
     if g == c and cg == 1 and o == c:
         # depthwise fast path: one slab per tap across all channels
-        for i in range(kh):
-            for j in range(kw):
-                slab = xp[:, :, i * d : i * d + (ho - 1) * s + 1 : s,
-                          j * d : j * d + (wo - 1) * s + 1 : s]
-                out += w[None, :, 0, i, j, None, None] * slab
+        xp = _pad(x, spec)
+        out = np.zeros((n, o, ho, wo), dtype=x.dtype)
+        for i, j, sh, sw in _taps(spec, ho, wo):
+            out += w[None, :, 0, i, j, None, None] * xp[:, :, sh, sw]
     else:
-        og = o // g
-        for gi in range(g):
-            xs = xp[:, gi * cg : (gi + 1) * cg]
-            ws = w[gi * og : (gi + 1) * og]
-            acc = out[:, gi * og : (gi + 1) * og]
-            for i in range(kh):
-                for j in range(kw):
-                    slab = xs[:, :, i * d : i * d + (ho - 1) * s + 1 : s,
-                              j * d : j * d + (wo - 1) * s + 1 : s]
-                    acc += np.einsum("oc,nchw->nohw", ws[:, :, i, j], slab)
+        out = (w.reshape(g, o // g, -1) @ _unrolled(x, spec, ho, wo)).reshape(n, o, ho, wo)
     if bias is not None:
         out += bias.reshape(1, o, 1, 1)
     return out
@@ -169,26 +191,22 @@ def conv2d_input_grad(gout: np.ndarray, w: np.ndarray, spec: ConvSpec,
     n, c, h, w_in = x_shape
     o, cg, kh, kw = w.shape
     ho, wo = gout.shape[2], gout.shape[3]
-    d, s, g = spec.dilation, spec.stride, spec.groups
+    g = spec.groups
     ph, pw = spec.pad_amount()
-    gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
     if g == c and cg == 1 and o == c:
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i * d : i * d + (ho - 1) * s + 1 : s,
-                    j * d : j * d + (wo - 1) * s + 1 : s] += \
-                    w[None, :, 0, i, j, None, None] * gout
+        gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
+        for i, j, sh, sw in _taps(spec, ho, wo):
+            gxp[:, :, sh, sw] += w[None, :, 0, i, j, None, None] * gout
     else:
-        og = o // g
-        for gi in range(g):
-            ws = w[gi * og : (gi + 1) * og]
-            gs = gout[:, gi * og : (gi + 1) * og]
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, gi * cg : (gi + 1) * cg,
-                        i * d : i * d + (ho - 1) * s + 1 : s,
-                        j * d : j * d + (wo - 1) * s + 1 : s] += \
-                        np.einsum("oc,nohw->nchw", ws[:, :, i, j], gs)
+        gcols = (w.reshape(g, o // g, -1).swapaxes(1, 2)
+                 @ gout.reshape(n, g, o // g, ho * wo))
+        if _is_plain_1x1(spec):
+            return gcols.reshape(x_shape)
+        # col2im: scatter-add each tap's rows back onto the padded input
+        gcols = gcols.reshape(n, c, kh, kw, ho, wo)
+        gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
+        for i, j, sh, sw in _taps(spec, ho, wo):
+            gxp[:, :, sh, sw] += gcols[:, :, i, j]
     if ph == 0 and pw == 0:
         return gxp
     return gxp[:, :, ph : ph + h, pw : pw + w_in]
@@ -200,27 +218,16 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
     n, c, h, w_in = x.shape
     o, cg, kh, kw = w_shape
     ho, wo = gout.shape[2], gout.shape[3]
-    d, s, g = spec.dilation, spec.stride, spec.groups
-    xp = _pad(x, spec)
-    gw = np.zeros(w_shape, dtype=gout.dtype)
+    g = spec.groups
     if g == c and cg == 1 and o == c:
-        for i in range(kh):
-            for j in range(kw):
-                slab = xp[:, :, i * d : i * d + (ho - 1) * s + 1 : s,
-                          j * d : j * d + (wo - 1) * s + 1 : s]
-                gw[:, 0, i, j] = np.sum(gout * slab, axis=(0, 2, 3))
-    else:
-        og = o // g
-        for gi in range(g):
-            xs = xp[:, gi * cg : (gi + 1) * cg]
-            gs = gout[:, gi * og : (gi + 1) * og]
-            for i in range(kh):
-                for j in range(kw):
-                    slab = xs[:, :, i * d : i * d + (ho - 1) * s + 1 : s,
-                              j * d : j * d + (wo - 1) * s + 1 : s]
-                    gw[gi * og : (gi + 1) * og, :, i, j] = \
-                        np.einsum("nohw,nchw->oc", gs, slab)
-    return gw
+        xp = _pad(x, spec)
+        gw = np.zeros(w_shape, dtype=gout.dtype)
+        for i, j, sh, sw in _taps(spec, ho, wo):
+            gw[:, 0, i, j] = np.sum(gout * xp[:, :, sh, sw], axis=(0, 2, 3))
+        return gw
+    cols = _unrolled(x, spec, ho, wo)
+    gs = gout.reshape(n, g, o // g, ho * wo)
+    return (gs @ cols.swapaxes(2, 3)).sum(axis=0).reshape(w_shape)
 
 
 def pointwise_conv(x: np.ndarray, weights: ConvWeights | np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ def test_bench_runs_and_reports_mac_advantage(capsys):
     assert "clk/21x21 MACs" in out
     for op in ("conv2d", "clk", "pdc", "cpdc"):
         assert any(line.startswith(op) for line in out.splitlines())
+
+
+def test_bench_header_says_when_thread_cap_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("PDCONV_THREADS", "4")
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    code, out, _ = run(capsys, "bench", "--sizes", "8", "--channels", "2",
+                       "--reps", "1")
+    assert code == 0
+    assert out.splitlines()[0] == ("bench channels=2 "
+                                   "threads=4 (ignored: threadpoolctl not installed)")
 
 
 class TestGenCommand:

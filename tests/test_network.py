@@ -216,6 +216,20 @@ class TestNetwork:
         np.testing.assert_array_equal(back.forward(rgb, depth).value,
                                       net.forward(rgb, depth).value)
 
+    def test_default_net_backward_bit_identical(self):
+        # full size: the dense convs and upsample run on BLAS inside backward
+        net = ToyPdcNet(NetConfig(), rng=np.random.default_rng(5))
+        _, (rgb, depth, labels) = small_batch(n=8, cfg=SceneConfig())
+        assert rgb.dtype == np.float32 and rgb.shape == (8, 3, 48, 48)
+        params = net.parameters()
+        assert len(params) == 138
+        loss = ag.cross_entropy(net.forward(rgb, depth), labels)
+        ag.backward(loss)
+        first = {name: p.grad.tobytes() for name, p in params.items()}
+        ag.backward(loss)
+        for name, p in params.items():
+            assert p.grad.tobytes() == first[name], name
+
     def test_normalize_depth(self):
         d = np.array([[[1.0, 3.0], [2.0, 5.0]]])
         out = normalize_depth(d)

@@ -35,18 +35,45 @@ def test_dilated_depthwise_matches_naive_loop():
     np.testing.assert_allclose(fast, slow, rtol=1e-6)
 
 
+def _grid_groups(groups: str) -> tuple[int, int]:
+    """(channels, groups) for a named grouping; 'two' needs an even C."""
+    return {"one": (3, 1), "two": (4, 2), "depthwise": (3, 3)}[groups]
+
+
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-@pytest.mark.parametrize("groups", ["one", "depthwise"])
+@pytest.mark.parametrize("groups", ["one", "two", "depthwise"])
 def test_conv_matches_naive_grid(kernel, dilation, groups):
     rng = np.random.default_rng(kernel * 10 + dilation)
-    c = 3
-    g = 1 if groups == "one" else c
+    c, g = _grid_groups(groups)
     x = rng.standard_normal((2, c, 9, 8))
     w = rng.standard_normal((c, c // g, kernel, kernel))
-    spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, groups=g)
-    np.testing.assert_allclose(T.conv2d(x, w, spec), naive_conv2d(x, w, spec),
-                               rtol=1e-10, atol=1e-12)
+    for stride in (1, 2):
+        spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride,
+                          groups=g)
+        np.testing.assert_allclose(T.conv2d(x, w, spec), naive_conv2d(x, w, spec),
+                                   rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("groups", ["one", "two", "depthwise"])
+def test_conv_grads_are_adjoint_to_naive(kernel, dilation, stride, groups):
+    # conv is bilinear, so <conv(x, w), g> = <x, dx(g)> = <w, dw(g)> for any g
+    rng = np.random.default_rng(100 * kernel + 10 * dilation + stride)
+    c, g = _grid_groups(groups)
+    x = rng.standard_normal((2, c, 9, 8))
+    w = rng.standard_normal((c, c // g, kernel, kernel))
+    spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride, groups=g)
+    y = naive_conv2d(x, w, spec)
+    gout = rng.standard_normal(y.shape)
+    ref = np.vdot(y, gout)
+    dx = T.conv2d_input_grad(gout, w, spec, x.shape)
+    dw = T.conv2d_weight_grad(gout, x, spec, w.shape)
+    assert dx.shape == x.shape and dw.shape == w.shape
+    np.testing.assert_allclose(np.vdot(x, dx), ref, rtol=1e-10)
+    np.testing.assert_allclose(np.vdot(w, dw), ref, rtol=1e-10)
 
 
 def test_conv_with_stride_matches_naive():
