@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 check failure, 2 bad arguments, 3 missing file,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .clk import (RF_MODES, analytic_support, clk_flops, large_kernel_flops,
                   receptive_field)
 from .config import load_run_config
 from .errors import ConfigurationError, PdconvError, TrainingDiverged
-from .network import VARIANTS, NetConfig, ToyPdcNet, TrainConfig, evaluate, train
+from .network import VARIANTS, ToyPdcNet, evaluate, train
 from .pdc import alpha_effective, equivalence_deviation, make_pdc_layer, pdc_forward
 from .pdtio import write_pdt
 from .scenes import SceneConfig, gen_scene, load_dataset, save_dataset
@@ -143,15 +144,7 @@ def cmd_gen(args) -> int:
 
 
 def _net_from_config(run_cfg, manifest, variant: str, seed: int) -> ToyPdcNet:
-    cfg = NetConfig(
-        classes=manifest["classes"],
-        channels=tuple(run_cfg.model.channels),
-        blocks_per_stage=run_cfg.model.blocks_per_stage,
-        decoder_channels=run_cfg.model.decoder_channels,
-        variant=variant,
-        alpha_mode=run_cfg.model.alpha_mode,
-        alpha_value=run_cfg.model.alpha_value,
-    )
+    cfg = dataclasses.replace(run_cfg.model, classes=manifest["classes"], variant=variant)
     return ToyPdcNet(cfg, rng=np.random.default_rng(seed))
 
 
@@ -159,9 +152,8 @@ def cmd_train(args) -> int:
     run_cfg = load_run_config(args.config)
     manifest, samples = load_dataset(args.data)
     seed = args.seed if args.seed is not None else run_cfg.seed
+    hyper = dataclasses.replace(run_cfg.training, seed=seed)
     net = _net_from_config(run_cfg, manifest, args.variant, seed)
-    hyper = run_cfg.training
-    hyper.seed = seed
     log_file = open(args.log, "w") if args.log else None
     try:
         def log_fn(record):

@@ -16,8 +16,8 @@ from scipy.signal import convolve2d
 
 from . import autograd as ag
 from . import tensor as T
-from .errors import ConfigurationError, DimensionError
-from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
+from .errors import ConfigurationError
+from .pdc import PdcLayer, _check_channels, init_weights, make_pdc_layer, pdc_forward
 
 LOCAL_KERNEL = (5, 5)
 LOCAL_DILATION = 1
@@ -58,11 +58,6 @@ def make_clk_layer(channels: int, rng: np.random.Generator | None = None,
         spec_local=T.depthwise_spec(channels, LOCAL_KERNEL, LOCAL_DILATION),
         spec_long=T.depthwise_spec(channels, LONG_KERNEL, LONG_DILATION),
     )
-
-
-def _check_channels(x: ag.Var, channels: int) -> None:
-    if x.value.shape[1] != channels:
-        raise DimensionError(f"input axis C is {x.value.shape[1]}, layer expects {channels}")
 
 
 def clk_forward(x, layer: ClkLayer) -> ag.Var:

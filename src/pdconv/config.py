@@ -1,4 +1,5 @@
-"""JSON run configuration for training runs; strict about unknown keys."""
+"""JSON run configuration for training runs; strict about unknown keys and
+value types.  Range checks live in the config dataclasses themselves."""
 
 from __future__ import annotations
 
@@ -7,71 +8,67 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .network import TrainConfig
+from .network import NetConfig, TrainConfig
 from .scenes import SceneConfig
 
-
-@dataclass
-class ModelConfig:
-    channels: tuple[int, ...] = (16, 32, 64)
-    blocks_per_stage: int = 2
-    decoder_channels: int = 32
-    alpha_mode: str = "learnable"
-    alpha_value: float = 0.5
-
-    def __post_init__(self):
-        if self.alpha_mode not in ("learnable", "fixed"):
-            raise ConfigurationError(f"alpha_mode must be learnable or fixed, got {self.alpha_mode}")
-        if not (0.0 <= self.alpha_value <= 1.0):
-            raise ConfigurationError(f"alpha_value must be in [0,1], got {self.alpha_value}")
-        if any(c < 1 for c in self.channels) or self.blocks_per_stage < 1:
-            raise ConfigurationError("channels and blocks_per_stage must be positive")
+# NetConfig fields a run takes from the dataset manifest and --variant
+_SET_PER_RUN = ("classes", "variant")
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: NetConfig = field(default_factory=NetConfig)
     generator: SceneConfig = field(default_factory=SceneConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
 
 
-def _build(cls, data: dict, where: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _typed(value, like, where: str):
+    """``value`` checked against the type of the field default ``like``.
+
+    An int may stand for a float, a bool stands for no number, and a list
+    stands for a tuple: it must be non-empty and each element is checked.
+    """
+    if isinstance(like, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(f"{where} must be a non-empty list, got {value!r}")
+        return tuple(_typed(v, like[0], where) for v in value)
+    want = (int, float) if isinstance(like, float) else type(like)
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ConfigurationError(f"{where} must be {type(like).__name__}, got {value!r}")
+    return float(value) if isinstance(like, float) else value
+
+
+def _build(cls, data, where: str, skip: tuple[str, ...] = ()):
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    fields = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown key(s) {sorted(unknown)} in {where}")
-    converted = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        converted[f.name] = value
-    return cls(**converted)
-
-
-def _check_positive(cfg: TrainConfig):
-    if cfg.lr <= 0 or cfg.epochs < 1 or cfg.batch_size < 1:
-        raise ConfigurationError("lr, epochs, and batch_size must be positive")
-    if not (0 <= cfg.momentum < 1) or cfg.weight_decay < 0:
-        raise ConfigurationError("momentum must be in [0,1), weight_decay non-negative")
+    values = {name: _typed(value, fields[name], f"{where}.{name}")
+              for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{where}: {e}") from None
 
 
 def load_run_config(path: str) -> RunConfig:
     with open(path) as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except ValueError as e:
+            raise ConfigurationError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
     unknown = set(data) - {"seed", "model", "generator", "training"}
     if unknown:
         raise ConfigurationError(f"unknown top-level key(s) {sorted(unknown)} in {path}")
-    cfg = RunConfig(
-        seed=int(data.get("seed", 0)),
-        model=_build(ModelConfig, data.get("model", {}), f"{path} model"),
+    return RunConfig(
+        seed=_typed(data.get("seed", 0), 0, f"{path} seed"),
+        model=_build(NetConfig, data.get("model", {}), f"{path} model",
+                     skip=_SET_PER_RUN),
         generator=_build(SceneConfig, data.get("generator", {}), f"{path} generator"),
         training=_build(TrainConfig, data.get("training", {}), f"{path} training"),
     )
-    _check_positive(cfg.training)
-    return cfg

@@ -50,10 +50,13 @@ class ConvUnit:
     beta: ag.Var
     spec: T.ConvSpec
 
-    def __call__(self, x: ag.Var) -> ag.Var:
+    def affine(self, x: ag.Var) -> ag.Var:
+        """conv -> standardize -> affine, without the relu."""
         y = ag.conv(x, self.w, self.spec)
-        y = ag.add(ag.mul(ag.standardize(y), self.gamma), self.beta)
-        return ag.relu(y)
+        return ag.add(ag.mul(ag.standardize(y), self.gamma), self.beta)
+
+    def __call__(self, x: ag.Var) -> ag.Var:
+        return ag.relu(self.affine(x))
 
     def parameters(self, prefix: str) -> dict[str, ag.Var]:
         return {f"{prefix}.w": self.w,
@@ -72,34 +75,22 @@ def make_conv_unit(c_in, c_out, rng, dtype, kernel=(3, 3), stride=1) -> ConvUnit
 
 @dataclass
 class ResBlock:
+    """relu(unit2.affine(unit1(x)) + x): the second unit's relu follows the add."""
+
     unit1: ConvUnit
-    w2: ag.Var
-    gamma2: ag.Var
-    beta2: ag.Var
-    spec: T.ConvSpec
+    unit2: ConvUnit
 
     def __call__(self, x: ag.Var) -> ag.Var:
-        y = self.unit1(x)
-        y = ag.conv(y, self.w2, self.spec)
-        y = ag.add(ag.mul(ag.standardize(y), self.gamma2), self.beta2)
-        return ag.relu(ag.add(y, x))
+        return ag.relu(ag.add(self.unit2.affine(self.unit1(x)), x))
 
     def parameters(self, prefix: str) -> dict[str, ag.Var]:
         params = self.unit1.parameters(f"{prefix}.c1")
-        params.update({f"{prefix}.c2.w": self.w2,
-                       f"{prefix}.c2.gamma": self.gamma2, f"{prefix}.c2.beta": self.beta2})
+        params.update(self.unit2.parameters(f"{prefix}.c2"))
         return params
 
 
 def make_res_block(c, rng, dtype) -> ResBlock:
-    kernel = (3, 3)
-    return ResBlock(
-        unit1=make_conv_unit(c, c, rng, dtype, kernel),
-        w2=ag.parameter(init_weights(rng, (c, c) + kernel, dtype)),
-        gamma2=ag.parameter(np.ones((1, c, 1, 1), dtype=dtype)),
-        beta2=ag.parameter(np.zeros((1, c, 1, 1), dtype=dtype)),
-        spec=T.ConvSpec(kernel=kernel),
-    )
+    return ResBlock(make_conv_unit(c, c, rng, dtype), make_conv_unit(c, c, rng, dtype))
 
 
 # --- the network ------------------------------------------------------------
@@ -119,8 +110,14 @@ class NetConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.alpha_mode not in ("learnable", "fixed"):
             raise ConfigurationError(f"alpha_mode must be learnable or fixed, got {self.alpha_mode}")
+        if not (0.0 <= self.alpha_value <= 1.0):
+            raise ConfigurationError(f"alpha_value must be in [0,1], got {self.alpha_value}")
         if self.classes < 2:
             raise ConfigurationError("need at least 2 classes")
+        if (not self.channels or min(self.channels) < 1 or self.blocks_per_stage < 1
+                or self.decoder_channels < 1):
+            raise ConfigurationError(
+                "channels (non-empty), blocks_per_stage and decoder_channels must be positive")
 
 
 def _branch_ops(cfg: NetConfig) -> tuple[str, str]:
@@ -320,6 +317,17 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        # written so that NaN fails every check
+        if not (self.lr > 0) or self.epochs < 1 or self.batch_size < 1:
+            raise ConfigurationError("lr, epochs, and batch_size must be positive")
+        if not (0 <= self.momentum < 1) or not (self.weight_decay >= 0):
+            raise ConfigurationError("momentum must be in [0,1), weight_decay non-negative")
+        if not (0 <= self.val_fraction < 1):
+            raise ConfigurationError(f"val_fraction must be in [0,1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+
 
 def poly_lr(lr0: float, iteration: int, max_iterations: int, power: float = 0.9) -> float:
     return lr0 * (1.0 - iteration / max_iterations) ** power
@@ -347,13 +355,17 @@ def train(net: ToyPdcNet, train_samples: list[SegSample],
     """SGD with momentum, weight decay, and a poly learning-rate schedule.
 
     Returns one history record per epoch; raises TrainingDiverged (with the
-    iteration index) if the loss goes non-finite.
+    iteration index) if the loss goes non-finite, and ConfigurationError if
+    no sample is left to train on.
     """
     rng = np.random.default_rng(hyper.seed)
     if val_samples is None:
         n_val = max(1, int(len(train_samples) * hyper.val_fraction))
         val_samples = train_samples[-n_val:]
         train_samples = train_samples[:-n_val]
+    if not train_samples:
+        raise ConfigurationError("the training split is empty; use more samples "
+                                 "or a smaller val_fraction")
     params = net.parameters()
     decayable = net.decayable()
     opt = SgdState()

@@ -84,11 +84,9 @@ def alpha_effective(layer: PdcLayer) -> ag.Var:
     return ag.sigmoid(layer.alpha_raw)
 
 
-def _check_channels(x: ag.Var, layer: PdcLayer) -> None:
-    if x.value.shape[1] != layer.channels:
-        raise DimensionError(
-            f"input axis C is {x.value.shape[1]}, layer expects {layer.channels}"
-        )
+def _check_channels(x: ag.Var, channels: int) -> None:
+    if x.value.shape[1] != channels:
+        raise DimensionError(f"input axis C is {x.value.shape[1]}, layer expects {channels}")
 
 
 def pdc_forward(x, layer: PdcLayer) -> ag.Var:
@@ -101,7 +99,7 @@ def pdc_forward(x, layer: PdcLayer) -> ag.Var:
     oracles at float precision.
     """
     x = ag.as_var(x)
-    _check_channels(x, layer)
+    _check_channels(x, layer.channels)
     a = alpha_effective(layer)
     conv_term = ag.conv(x, layer.weights, layer.spec)
     center_term = ag.mul(x, ag.reduce_to_channel(layer.weights))

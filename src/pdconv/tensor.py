@@ -238,22 +238,6 @@ def pointwise_conv(x: np.ndarray, weights: ConvWeights | np.ndarray) -> np.ndarr
     return conv2d(x, weights, pointwise_spec())
 
 
-def elementwise(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Pointwise mul/add/sub on identically shaped tensors, or scale by scalar."""
-    if op == "scale":
-        return a * float(b)
-    b = np.asarray(b)
-    if b.shape != a.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "mul":
-        return a * b
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    raise ConfigurationError(f"unknown elementwise op {op!r}")
-
-
 def flop_count(spec: ConvSpec, channels_in: int, channels_out: int,
                spatial: tuple[int, int]) -> int:
     """Multiply-accumulate count for one conv application at stride 1."""

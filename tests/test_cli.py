@@ -179,6 +179,16 @@ class TestTrainEvalFlow:
                          "--data", small_dataset, "--out", str(tmp_path / "n.pdck"))
         assert code == 3
 
+    def test_empty_training_split_is_usage_error(self, config_path, tmp_path, capsys):
+        data_dir = str(tmp_path / "one")
+        code, _, _ = run(capsys, "gen", "--out", data_dir, "--count", "1",
+                         "--seed", "5", "--height", "24", "--width", "24",
+                         "--classes", "3")
+        assert code == 0
+        code, _, err = run(capsys, "train", "--config", config_path, "--data", data_dir,
+                           "--out", str(tmp_path / "net.pdck"))
+        assert code == 2 and "error:" in err and "empty" in err
+
     def test_unknown_subcommand_and_flag(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
         assert run(capsys, "rfmap", "--mode", "cascade", "--bogus")[0] == 2
@@ -216,3 +226,62 @@ class TestRunConfig:
             json.dump({"training": {"lr": -1.0}}, f)
         with pytest.raises(ConfigurationError):
             load_run_config(path)
+
+    def test_model_fields_set_per_run_stay_unknown(self, tmp_path):
+        # the class count comes from the dataset and the variant from --variant
+        path = str(tmp_path / "c.json")
+        for key, value in (("classes", 3), ("variant", "swap")):
+            with open(path, "w") as f:
+                json.dump({"model": {key: value}}, f)
+            with pytest.raises(ConfigurationError, match=key):
+                load_run_config(path)
+
+    def test_int_stands_for_float(self, tmp_path):
+        path = str(tmp_path / "c.json")
+        with open(path, "w") as f:
+            json.dump({"model": {"alpha_value": 1}, "training": {"lr": 1}}, f)
+        cfg = load_run_config(path)
+        assert cfg.model.alpha_value == 1.0 and isinstance(cfg.model.alpha_value, float)
+        assert cfg.training.lr == 1.0 and isinstance(cfg.training.lr, float)
+
+
+MALFORMED_CONFIGS = [
+    {"model": {"decoder_channels": 0}},
+    {"model": {"decoder_channels": -1}},
+    {"model": {"channels": []}},
+    {"model": {"channels": [4.5]}},
+    {"model": {"alpha_value": 2}},
+    {"model": {"blocks_per_stage": True}},
+    {"seed": "abc"},
+    {"seed": -1},
+    {"training": {"lr": "0.1"}},
+    {"training": {"epochs": 1.5}},
+    {"model": [1]},
+    {"training": {"val_fraction": 2}},
+    {"generator": {"depth_gap": [0.25, "x"]}},
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED_CONFIGS, ids=json.dumps)
+def test_malformed_run_config_is_usage_error(case, small_dataset, tmp_path, capsys):
+    config = dict(SMALL_CONFIG)
+    for key, value in case.items():
+        base = config.get(key)
+        config[key] = ({**base, **value}
+                       if isinstance(base, dict) and isinstance(value, dict) else value)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as f:
+        json.dump(config, f)
+    code, _, err = run(capsys, "train", "--config", path, "--data", small_dataset,
+                       "--out", str(tmp_path / "net.pdck"))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_invalid_json_is_usage_error(small_dataset, tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as f:
+        f.write('{"seed": 0,')
+    code, _, err = run(capsys, "train", "--config", path, "--data", small_dataset,
+                       "--out", str(tmp_path / "net.pdck"))
+    assert code == 2 and err.startswith("error:")

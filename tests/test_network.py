@@ -5,6 +5,7 @@ from pdconv.errors import ConfigurationError, DataError, TrainingDiverged
 from pdconv.metrics import ConfusionMatrix, metrics
 from pdconv.network import (NetConfig, SgdState, ToyPdcNet, TrainConfig,
                             evaluate, make_batch, normalize_depth, poly_lr, train)
+from pdconv.pdtio import write_checkpoint
 from pdconv.scenes import (DEPTH_PAIR, SceneConfig, gen_scene, load_dataset,
                            save_dataset)
 
@@ -201,6 +202,24 @@ class TestNetwork:
         with pytest.raises(ConfigurationError):
             NetConfig(variant="bogus")
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha_mode": "bogus"}, {"alpha_value": 2.0},
+        {"alpha_value": -0.1}, {"alpha_value": float("nan")}, {"classes": 1},
+        {"channels": ()}, {"channels": (4, 0)}, {"blocks_per_stage": 0},
+        {"decoder_channels": 0}, {"decoder_channels": -1},
+    ], ids=repr)
+    def test_invalid_net_config_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            NetConfig(**bad)
+
+    def test_load_rejects_out_of_range_meta(self, tmp_path):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        state["meta.alpha_value"] = np.asarray([2.0])
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(ConfigurationError, match="alpha_value"):
+            ToyPdcNet.load(path)
+
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         cfg = NetConfig(classes=3, channels=(4, 6), blocks_per_stage=1,
                         decoder_channels=8, variant="swap", alpha_mode="fixed",
@@ -286,6 +305,22 @@ class TestTraining:
         assert [r["loss"] for r in h1] == [r["loss"] for r in h2]
         assert h1[-1]["loss"] < h1[0]["loss"]
         assert len(h1) == 3 and h1[-1]["iter"] == 6
+
+    @pytest.mark.parametrize("bad", [
+        {"lr": 0.0}, {"lr": float("nan")}, {"epochs": 0}, {"batch_size": 0},
+        {"momentum": 1.0}, {"weight_decay": -1e-4}, {"weight_decay": float("nan")},
+        {"val_fraction": 1.0}, {"val_fraction": -0.1}, {"seed": -1},
+    ], ids=repr)
+    def test_invalid_train_config_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_training_split_rejected(self, count):
+        samples = [gen_scene(300 + i, SMALL_SCENES) for i in range(count)]
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigurationError, match="empty"):
+            train(net, samples, None, TrainConfig(epochs=1, batch_size=2))
 
     def test_divergence_reports_iteration(self):
         samples = [gen_scene(200 + i, SMALL_SCENES) for i in range(4)]

@@ -174,31 +174,6 @@ class TestPointwise:
             T.pointwise_conv(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)))
 
 
-class TestElementwise:
-    def test_mul_by_ones(self):
-        a = np.random.default_rng(0).standard_normal((1, 2, 3, 3))
-        np.testing.assert_array_equal(T.elementwise("mul", a, np.ones_like(a)), a)
-
-    def test_add_negation(self):
-        a = np.random.default_rng(1).standard_normal((1, 2, 3, 3))
-        np.testing.assert_array_equal(T.elementwise("add", a, -a), np.zeros_like(a))
-
-    def test_mul_div_round_trip(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((2, 2, 4, 4))
-        b = rng.uniform(0.5, 2.0, size=a.shape)  # bounded away from 0
-        prod = T.elementwise("mul", a, b)
-        np.testing.assert_allclose(prod / b, a, rtol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.elementwise("add", np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)))
-
-    def test_scale(self):
-        a = np.ones((1, 1, 2, 2))
-        np.testing.assert_array_equal(T.elementwise("scale", a, 3), 3 * a)
-
-
 class TestFlopCount:
     def test_21x21_depthwise(self):
         spec = T.depthwise_spec(8, (21, 21))
