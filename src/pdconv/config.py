@@ -11,8 +11,9 @@ from .errors import ConfigurationError
 from .network import NetConfig, TrainConfig
 from .scenes import SceneConfig
 
-# NetConfig fields a run takes from the dataset manifest and --variant
-_SET_PER_RUN = ("classes", "variant")
+# Fields a run sets elsewhere, each with where it comes from
+_MODEL_SET_PER_RUN = {"classes": "the dataset manifest", "variant": "--variant"}
+_TRAINING_SET_PER_RUN = {"seed": "the top-level 'seed' (or --seed)"}
 
 
 @dataclass
@@ -39,9 +40,13 @@ def _typed(value, like, where: str):
     return float(value) if isinstance(like, float) else value
 
 
-def _build(cls, data, where: str, skip: tuple[str, ...] = ()):
+def _build(cls, data, where: str, skip: dict[str, str] | None = None):
+    skip = skip or {}
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
+    for name in data:
+        if name in skip:
+            raise ConfigurationError(f"{where}.{name} is not set here; it comes from {skip[name]}")
     fields = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
     unknown = set(data) - set(fields)
     if unknown:
@@ -68,7 +73,8 @@ def load_run_config(path: str) -> RunConfig:
     return RunConfig(
         seed=_typed(data.get("seed", 0), 0, f"{path} seed"),
         model=_build(NetConfig, data.get("model", {}), f"{path} model",
-                     skip=_SET_PER_RUN),
+                     skip=_MODEL_SET_PER_RUN),
         generator=_build(SceneConfig, data.get("generator", {}), f"{path} generator"),
-        training=_build(TrainConfig, data.get("training", {}), f"{path} training"),
+        training=_build(TrainConfig, data.get("training", {}), f"{path} training",
+                        skip=_TRAINING_SET_PER_RUN),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .clk import CpdcLayer, cpdc_raw, make_cpdc_layer
-from .errors import ConfigurationError, TrainingDiverged
+from .errors import ConfigurationError, FormatError, TrainingDiverged
 from .fusion import EcfLayer, ecf_fuse, make_ecf_layer
 from .metrics import ConfusionMatrix
 from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
@@ -32,6 +32,7 @@ from .pdtio import load_into, read_checkpoint, write_checkpoint
 from .scenes import SegSample
 
 VARIANTS = ("full", "vanilla-baseline", "swap", "pdc-only", "cpdc-only")
+ALPHA_MODES = ("learnable", "fixed")  # checkpoint codes 0 and 1
 
 cross_entropy = ag.cross_entropy
 
@@ -108,7 +109,7 @@ class NetConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.alpha_mode not in ("learnable", "fixed"):
+        if self.alpha_mode not in ALPHA_MODES:
             raise ConfigurationError(f"alpha_mode must be learnable or fixed, got {self.alpha_mode}")
         if not (0.0 <= self.alpha_value <= 1.0):
             raise ConfigurationError(f"alpha_value must be in [0,1], got {self.alpha_value}")
@@ -250,7 +251,7 @@ class ToyPdcNet:
         state["meta.decoder_channels"] = np.asarray([self.cfg.decoder_channels], dtype=np.int32)
         state["meta.variant"] = np.asarray([VARIANTS.index(self.cfg.variant)], dtype=np.int32)
         state["meta.alpha_mode"] = np.asarray(
-            [0 if self.cfg.alpha_mode == "learnable" else 1], dtype=np.int32)
+            [ALPHA_MODES.index(self.cfg.alpha_mode)], dtype=np.int32)
         state["meta.alpha_value"] = np.asarray([self.cfg.alpha_value], dtype=np.float64)
         return state
 
@@ -261,14 +262,31 @@ class ToyPdcNet:
     def load(cls, path: str, dtype=np.float32) -> "ToyPdcNet":
         saved = read_checkpoint(path)
         meta = {k: saved.pop(k) for k in list(saved) if k.startswith("meta.")}
+
+        def meta_value(key: str, scalar: bool = True):
+            if f"meta.{key}" not in meta:
+                raise FormatError(f"checkpoint {path} is missing tensor 'meta.{key}'")
+            arr = meta[f"meta.{key}"].reshape(-1)
+            if scalar and arr.size != 1:
+                raise FormatError(f"checkpoint {path}: 'meta.{key}' must hold one value, "
+                                  f"got {arr.size}")
+            return arr[0] if scalar else arr
+
+        def code(key: str, names: tuple[str, ...]) -> str:
+            value = int(meta_value(key))
+            if not 0 <= value < len(names):
+                raise FormatError(f"checkpoint {path}: 'meta.{key}' is {value}, "
+                                  f"not a code in 0..{len(names) - 1}")
+            return names[value]
+
         cfg = NetConfig(
-            classes=int(meta["meta.classes"][0]),
-            channels=tuple(int(c) for c in meta["meta.channels"]),
-            blocks_per_stage=int(meta["meta.blocks_per_stage"][0]),
-            decoder_channels=int(meta["meta.decoder_channels"][0]),
-            variant=VARIANTS[int(meta["meta.variant"][0])],
-            alpha_mode="learnable" if int(meta["meta.alpha_mode"][0]) == 0 else "fixed",
-            alpha_value=float(meta["meta.alpha_value"][0]),
+            classes=int(meta_value("classes")),
+            channels=tuple(int(c) for c in meta_value("channels", scalar=False)),
+            blocks_per_stage=int(meta_value("blocks_per_stage")),
+            decoder_channels=int(meta_value("decoder_channels")),
+            variant=code("variant", VARIANTS),
+            alpha_mode=code("alpha_mode", ALPHA_MODES),
+            alpha_value=float(meta_value("alpha_value")),
         )
         net = cls(cfg, dtype=dtype)
         load_into({name: p.value for name, p in net.parameters().items()}, saved)

@@ -13,6 +13,7 @@ truncated file that parses as valid.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -27,6 +28,7 @@ PDCK_VERSION = 1
 
 _CODE_TO_DTYPE = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i4")}
 _KIND_TO_CODE = {("f", 4): 1, ("f", 8): 2, ("i", 4): 3}
+_MAX_NDIM = 32  # numpy's own limit before 2.0
 
 
 def _dtype_code(arr: np.ndarray) -> int:
@@ -79,10 +81,11 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
     code, ndim = r.unpack("<BB")
     if code not in _CODE_TO_DTYPE:
         raise FormatError(f"unknown dtype code {code} in {r.what}")
+    if ndim > _MAX_NDIM:
+        raise FormatError(f"rank {ndim} above {_MAX_NDIM} in {r.what}")
     dims = r.unpack(f"<{ndim}I")
     dtype = _CODE_TO_DTYPE[code]
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-    data = r.take(count * dtype.itemsize)
+    data = r.take(math.prod(dims) * dtype.itemsize)
     return np.frombuffer(data, dtype=dtype).reshape(dims).copy()
 
 
@@ -124,7 +127,12 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name is not UTF-8 in {path}") from None
+        if name in tensors:
+            raise FormatError(f"duplicate tensor {name!r} in {path}")
         tensors[name] = _decode_tensor(r)
     if r.pos != len(buf):
         raise FormatError(f"trailing bytes in {path}")

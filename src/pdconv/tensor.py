@@ -6,6 +6,8 @@ otherwise.  Dense (non-depthwise) convs run as one BLAS matrix product over
 unrolled input windows, so the reduction order within one output element is
 fixed by that BLAS call: results are bit-identical run to run at a fixed BLAS
 thread count, but may differ in the last bits across thread counts.
+Depthwise convs (groups == C) sum their taps one at a time in a fixed (i, j)
+order without BLAS, so their results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -120,22 +122,6 @@ def _validate_conv(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> None:
         raise DimensionError(f"dtype mismatch: input {x.dtype} vs weights {w.dtype}")
 
 
-def _pad(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    ph, pw = spec.pad_amount()
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _taps(spec: ConvSpec, ho: int, wo: int):
-    """Yield (i, j, slice_h, slice_w): the padded-input window each tap reads."""
-    (kh, kw), d, s = spec.kernel, spec.dilation, spec.stride
-    for i in range(kh):
-        for j in range(kw):
-            yield (i, j, slice(i * d, i * d + (ho - 1) * s + 1, s),
-                   slice(j * d, j * d + (wo - 1) * s + 1, s))
-
-
 def _is_plain_1x1(spec: ConvSpec) -> bool:
     """A 1x1 stride-1 unpadded conv: its input already is its window matrix."""
     return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad_amount() == (0, 0)
@@ -151,12 +137,52 @@ def _unrolled(x: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
     g, d, s = spec.groups, spec.dilation, spec.stride
     if _is_plain_1x1(spec):
         return x.reshape(n, g, c // g, ho * wo)
-    xp = _pad(x, spec)
+    ph, pw = spec.pad_amount()
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     sn, sc, sh, sw = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp, shape=(n, c, kh, kw, ho, wo),
         strides=(sn, sc, sh * d, sw * d, sh * s, sw * s), writeable=False)
     return view.reshape(n, g, c // g * kh * kw, ho * wo)
+
+
+# Padded input bytes per depthwise block: half of a 2 MB per-core L2, so a
+# block's input and output stay in cache across all of its taps.
+_DW_BLOCK_BYTES = 1 << 20
+
+
+def _dw_flat(x: np.ndarray, kernel: tuple[int, int], d: int, pads):
+    """Zero-pad x by pads = (top, bottom, left, right; a negative pad crops)
+    into one flat run per channel, rows wp apart and planes hp rows apart, so
+    neighbours share their zero gaps and tap (i, j) of the stride-1 ho x wo
+    correlation reads one run at offset i*d*wp + j*d.  Returns the runs,
+    (hp, wp, ho, wo) and the (i, j, offset) of each tap whose window overlaps
+    x; the other taps would add exact zeros."""
+    (t, b, l, r), h, w = pads, x.shape[2], x.shape[3]
+    x = x[:, :, max(-t, 0):h - max(-b, 0), max(-l, 0):w - max(-r, 0)]
+    (n, c, h, w), (kh, kw), (t, b, l, r) = x.shape, kernel, [max(p, 0) for p in pads]
+    ho, wo = h + t + b - (kh - 1) * d, w + l + r - (kw - 1) * d
+    hp, wp = h + max(t, b, ho - h), w + max(l, r, wo - w)
+    flat = np.zeros((c, t * wp + l + n * hp * wp), dtype=x.dtype)
+    flat[:, t * wp + l:].reshape(c, n, hp, wp)[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
+    taps = [(i, j, i * d * wp + j * d) for i in range(kh) for j in range(kw)
+            if t - ho < i * d < t + h and l - wo < j * d < l + w]
+    return flat, (hp, wp, ho, wo), taps
+
+
+def _dw_correlate(x: np.ndarray, w: np.ndarray, dilation: int, pads) -> np.ndarray:
+    """Stride-1 depthwise cross-correlation of x (N, C, H, W) with w (C, kh, kw)
+    on `_dw_flat(x)`, block by block of samples, taps summed in (i, j) order."""
+    n, c = x.shape[:2]
+    xp, (hp, wp, ho, wo), taps = _dw_flat(x, w.shape[1:], dilation, pads)
+    size, step = n * hp * wp, max(1, _DW_BLOCK_BYTES // (c * hp * wp * x.itemsize)) * hp * wp
+    out, prod = np.zeros((c, size), dtype=x.dtype), np.empty((c, min(step, size)), dtype=x.dtype)
+    for s in range(0, size, step):
+        run = min(step, size - s) - hp * wp + (ho - 1) * wp + wo
+        acc, tmp = out[:, s:s + run], prod[:, :run]
+        for i, j, off in taps:
+            acc += np.multiply(xp[:, s + off:s + off + run], w[:, i, j, None], out=tmp)
+    return out.reshape(c, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
 
 
 def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -173,11 +199,8 @@ def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> 
     ho, wo = spec.out_spatial(h, w_in)
     g = spec.groups
     if g == c and cg == 1 and o == c:
-        # depthwise fast path: one slab per tap across all channels
-        xp = _pad(x, spec)
-        out = np.zeros((n, o, ho, wo), dtype=x.dtype)
-        for i, j, sh, sw in _taps(spec, ho, wo):
-            out += w[None, :, 0, i, j, None, None] * xp[:, :, sh, sw]
+        (ph, pw), s = spec.pad_amount(), spec.stride
+        out = _dw_correlate(x, w[:, 0], spec.dilation, (ph, ph, pw, pw))[:, :, ::s, ::s].copy()
     else:
         out = (w.reshape(g, o // g, -1) @ _unrolled(x, spec, ho, wo)).reshape(n, o, ho, wo)
     if bias is not None:
@@ -194,9 +217,12 @@ def conv2d_input_grad(gout: np.ndarray, w: np.ndarray, spec: ConvSpec,
     g = spec.groups
     ph, pw = spec.pad_amount()
     if g == c and cg == 1 and o == c:
-        gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
-        for i, j, sh, sw in _taps(spec, ho, wo):
-            gxp[:, :, sh, sw] += w[None, :, 0, i, j, None, None] * gout
+        # gout spread to stride 1 and correlated with the flipped kernel
+        (eh, ew), s = spec.extent, spec.stride
+        gs = np.zeros((n, c, (ho - 1) * s + 1, (wo - 1) * s + 1), dtype=gout.dtype)
+        gs[:, :, ::s, ::s] = gout
+        pads = (eh - 1 - ph, h + ph - gs.shape[2], ew - 1 - pw, w_in + pw - gs.shape[3])
+        return _dw_correlate(gs, w[:, 0, ::-1, ::-1], spec.dilation, pads)
     else:
         gcols = (w.reshape(g, o // g, -1).swapaxes(1, 2)
                  @ gout.reshape(n, g, o // g, ho * wo))
@@ -205,8 +231,11 @@ def conv2d_input_grad(gout: np.ndarray, w: np.ndarray, spec: ConvSpec,
         # col2im: scatter-add each tap's rows back onto the padded input
         gcols = gcols.reshape(n, c, kh, kw, ho, wo)
         gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
-        for i, j, sh, sw in _taps(spec, ho, wo):
-            gxp[:, :, sh, sw] += gcols[:, :, i, j]
+        d, s = spec.dilation, spec.stride
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i * d:i * d + (ho - 1) * s + 1:s,
+                    j * d:j * d + (wo - 1) * s + 1:s] += gcols[:, :, i, j]
     if ph == 0 and pw == 0:
         return gxp
     return gxp[:, :, ph : ph + h, pw : pw + w_in]
@@ -220,10 +249,15 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
     ho, wo = gout.shape[2], gout.shape[3]
     g = spec.groups
     if g == c and cg == 1 and o == c:
-        xp = _pad(x, spec)
-        gw = np.zeros(w_shape, dtype=gout.dtype)
-        for i, j, sh, sw in _taps(spec, ho, wo):
-            gw[:, 0, i, j] = np.sum(gout * xp[:, :, sh, sw], axis=(0, 2, 3))
+        # gout spread onto x's flat grid: one dot product per tap and channel
+        (ph, pw), s = spec.pad_amount(), spec.stride
+        xp, (hp, wp, h1, w1), taps = _dw_flat(x, (kh, kw), spec.dilation, (ph, ph, pw, pw))
+        grid = np.zeros((c, n, hp, wp), dtype=gout.dtype)
+        grid[:, :, :ho * s:s, :wo * s:s] = gout.transpose(1, 0, 2, 3)
+        run = ((n - 1) * hp + h1 - 1) * wp + w1
+        grid, gw = grid.reshape(c, -1)[:, :run], np.zeros(w_shape, dtype=gout.dtype)
+        for i, j, off in taps:
+            gw[:, 0, i, j] = np.einsum("cl,cl->c", grid, xp[:, off:off + run])
         return gw
     cols = _unrolled(x, spec, ho, wo)
     gs = gout.reshape(n, g, o // g, ho * wo)

@@ -8,7 +8,7 @@ import pytest
 from pdconv.cli import main
 from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
-from pdconv.pdtio import read_pdt
+from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint
 
 
 def run(capsys, *argv):
@@ -162,6 +162,27 @@ class TestTrainEvalFlow:
         code, _, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset,
                            "--variant", "full")
         assert code == 2 and "variant" in err
+
+    def test_training_seed_points_at_top_level_seed(self, small_dataset, tmp_path, capsys):
+        # cmd_train always seeds from the top-level seed, so training.seed is refused
+        path = str(tmp_path / "run.json")
+        with open(path, "w") as f:
+            json.dump({**SMALL_CONFIG, "training": {**SMALL_CONFIG["training"], "seed": 3}}, f)
+        code, _, err = run(capsys, "train", "--config", path, "--data", small_dataset,
+                           "--out", str(tmp_path / "net.pdck"))
+        assert code == 2 and "training.seed" in err and "top-level 'seed'" in err
+
+    def test_eval_bad_checkpoint_meta_is_format_error(self, small_dataset, config_path,
+                                                      tmp_path, capsys):
+        ckpt = str(tmp_path / "net.pdck")
+        code, _, _ = run(capsys, "train", "--config", config_path,
+                         "--data", small_dataset, "--out", ckpt)
+        assert code == 0
+        state = read_checkpoint(ckpt)
+        state["meta.variant"] = np.asarray([9], dtype=np.int32)
+        write_checkpoint(ckpt, state)
+        code, _, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset)
+        assert code == 1 and "meta.variant" in err and "Traceback" not in err
 
     def test_missing_data_dir(self, config_path, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--config", config_path,

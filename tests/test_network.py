@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdconv.errors import ConfigurationError, DataError, TrainingDiverged
+from pdconv.errors import ConfigurationError, DataError, FormatError, TrainingDiverged
 from pdconv.metrics import ConfusionMatrix, metrics
 from pdconv.network import (NetConfig, SgdState, ToyPdcNet, TrainConfig,
                             evaluate, make_batch, normalize_depth, poly_lr, train)
@@ -218,6 +218,20 @@ class TestNetwork:
         path = str(tmp_path / "net.pdck")
         write_checkpoint(path, state)
         with pytest.raises(ConfigurationError, match="alpha_value"):
+            ToyPdcNet.load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("meta.variant", [-1]), ("meta.variant", [9]), ("meta.alpha_mode", [2]),
+        ("meta.classes", None), ("meta.blocks_per_stage", [1, 1])])
+    def test_load_rejects_bad_meta(self, tmp_path, key, value):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        if value is None:
+            del state[key]
+        else:
+            state[key] = np.asarray(value, dtype=np.int32)
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=key):
             ToyPdcNet.load(path)
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):

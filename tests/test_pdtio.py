@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdconv import pdtio
 from pdconv.errors import DimensionError, FormatError
@@ -98,3 +100,63 @@ def test_load_into_rejects_missing_name():
     params = {"a": np.zeros(3), "b": np.zeros(2)}
     with pytest.raises(FormatError, match="missing"):
         pdtio.load_into(params, {"a": np.ones(3)})
+
+
+def _two_tensor_checkpoint(tmp_path, second_name: bytes):
+    """A valid checkpoint of tensors 'ab' and 'cd' with the second name's bytes replaced."""
+    path = tmp_path / "net.pdck"
+    pdtio.write_checkpoint(str(path), {"ab": np.ones(2), "cd": np.zeros(3)})
+    data = path.read_bytes()
+    at = data.rindex(b"cd")
+    path.write_bytes(data[:at] + second_name + data[at + 2:])
+    return str(path)
+
+
+def test_checkpoint_non_utf8_name(tmp_path):
+    with pytest.raises(FormatError, match="UTF-8"):
+        pdtio.read_checkpoint(_two_tensor_checkpoint(tmp_path, b"\xff\xfe"))
+
+
+def test_checkpoint_duplicate_name(tmp_path):
+    with pytest.raises(FormatError, match="duplicate tensor 'ab'"):
+        pdtio.read_checkpoint(_two_tensor_checkpoint(tmp_path, b"ab"))
+
+
+def test_pdt_rank_above_limit(tmp_path):
+    bad = tmp_path / "rank.pdt"
+    bad.write_bytes(pdtio.PDT_MAGIC + bytes([1, 200]) + b"\x00" * 800)
+    with pytest.raises(FormatError, match="rank 200"):
+        pdtio.read_pdt(str(bad))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of one valid .pdt and one valid .pdck, with the reader of each."""
+    d = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(2)
+    pdtio.write_pdt(str(d / "t.pdt"), rng.standard_normal((2, 3, 4)).astype(np.float32))
+    pdtio.write_checkpoint(str(d / "c.pdck"), {
+        "stem.w": rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+        "stem.b": np.zeros(4), "meta.classes": np.asarray([5], dtype=np.int32),
+        "scalar": np.float64(1.5)})
+    return {"pdt": ((d / "t.pdt").read_bytes(), pdtio.read_pdt),
+            "pdck": ((d / "c.pdck").read_bytes(), pdtio.read_checkpoint)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_files_raise_only_format_error(valid_files, tmp_path_factory, data):
+    # a truncated and/or byte-mutated file either still parses or raises FormatError
+    kind = data.draw(st.sampled_from(sorted(valid_files)), label="kind")
+    raw, read = valid_files[kind]
+    buf = bytearray(raw[:data.draw(st.integers(0, len(raw)), label="cut")])
+    if buf:
+        edits = st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255))
+        for at, byte in data.draw(st.lists(edits, max_size=6), label="edits"):
+            buf[at] = byte
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
+    path.write_bytes(bytes(buf))
+    try:
+        read(str(path))
+    except FormatError:
+        pass

@@ -190,3 +190,74 @@ class TestFlopCount:
                  + T.flop_count(T.depthwise_spec(8, (7, 7), 3), 8, 8, (32, 32)))
         assert small * 441 == big * 74  # exactly 74/441
         assert abs(small / big - 0.168) < 1e-3
+
+
+def _check_depthwise(x, w, spec, rng):
+    """Forward against naive_conv2d; dx and dw through the adjoint identity."""
+    y = naive_conv2d(x, w, spec)
+    np.testing.assert_allclose(T.conv2d(x, w, spec), y, rtol=1e-10, atol=1e-12)
+    gout = rng.standard_normal(y.shape)
+    ref = np.vdot(y, gout)
+    np.testing.assert_allclose(np.vdot(x, T.conv2d_input_grad(gout, w, spec, x.shape)),
+                               ref, rtol=1e-10)
+    np.testing.assert_allclose(np.vdot(w, T.conv2d_weight_grad(gout, x, spec, w.shape)),
+                               ref, rtol=1e-10)
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("padding", [(0, 0), (2, 1)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_explicit_padding(kernel, dilation, padding, stride):
+    # padding (2, 1) exceeds a 1x1 kernel's extent, so input-grad crops
+    rng = np.random.default_rng(kernel * 100 + dilation * 10 + stride)
+    x = rng.standard_normal((2, 3, 13, 10))
+    w = rng.standard_normal((3, 1, kernel, kernel))
+    spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride,
+                      padding=padding, groups=3)
+    _check_depthwise(x, w, spec, rng)
+
+
+@pytest.mark.parametrize("size", [1, 2, 6])
+def test_depthwise_7x7_d3_on_tiny_inputs(size):
+    # most taps read only padding at these sizes (the deepest CPDC stage of
+    # the gradcheck network and of training stage 3)
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal((2, 3, size, size))
+    w = rng.standard_normal((3, 1, 7, 7))
+    _check_depthwise(x, w, T.depthwise_spec(3, (7, 7), dilation=3), rng)
+
+
+def test_depthwise_blocks_match_per_sample():
+    # 8 channels padded to 50x50 planes: a batch of 1.5 blocks, cut mid-block
+    rng = np.random.default_rng(11)
+    per_block = T._DW_BLOCK_BYTES // (8 * 50 * 50 * 4)
+    assert per_block >= 2
+    x = rng.standard_normal((per_block + per_block // 2, 8, 48, 48)).astype(np.float32)
+    w = rng.standard_normal((8, 1, 5, 5)).astype(np.float32)
+    spec = T.depthwise_spec(8, (5, 5))
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    whole = T.conv2d(x, w, spec)
+    dx = T.conv2d_input_grad(g, w, spec, x.shape)
+    for k in range(len(x)):
+        assert T.conv2d(x[k:k + 1], w, spec).tobytes() == whole[k:k + 1].tobytes()
+        single = T.conv2d_input_grad(g[k:k + 1], w, spec, (1,) + x.shape[1:])
+        assert single.tobytes() == dx[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("kernel, dilation, size", [(5, 1, (10, 13)), (7, 3, (10, 13)),
+                                                    (7, 3, (6, 6))])
+def test_depthwise_f32_sums_taps_in_order(kernel, dilation, size):
+    # the exact float32 result of adding tap products one by one in (i, j) order
+    rng = np.random.default_rng(kernel)
+    x = rng.standard_normal((3, 4) + size).astype(np.float32)
+    w = rng.standard_normal((4, 1, kernel, kernel)).astype(np.float32)
+    p = (kernel - 1) * dilation // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ref = np.zeros_like(x)
+    for i in range(kernel):
+        for j in range(kernel):
+            di, dj = i * dilation, j * dilation
+            ref += w[None, :, 0, i, j, None, None] * xp[:, :, di:di + size[0], dj:dj + size[1]]
+    spec = T.depthwise_spec(4, (kernel, kernel), dilation)
+    np.testing.assert_array_equal(T.conv2d(x, w, spec), ref)
