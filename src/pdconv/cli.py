@@ -112,9 +112,13 @@ def cmd_bench(args) -> int:
         clk = make_clk_layer(c, rng=rng)
         pdc = make_pdc_layer(c, rng=rng)
         cpdc = make_cpdc_layer(c, rng=rng)
+        spec3 = T.ConvSpec(kernel=(3, 3))  # the backbone's dense C -> C conv
+        w3 = rng.standard_normal((c, c, 3, 3)).astype(np.float32)
         cases = [
             ("conv2d", lambda: T.conv2d(x, w5, spec5),
              T.flop_count(spec5, c, c, (size, size))),
+            ("conv3x3", lambda: T.conv2d(x, w3, spec3),
+             T.flop_count(spec3, c, c, (size, size))),
             ("clk", lambda: clk_forward(x, clk).value, clk_flops(c, (size, size))),
             ("pdc", lambda: pdc_forward(x, pdc).value,
              T.flop_count(spec5, c, c, (size, size)) + c * size * size),

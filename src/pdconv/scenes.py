@@ -199,20 +199,43 @@ def save_dataset(directory: str, count: int, seed: int, cfg: SceneConfig) -> Non
     os.replace(tmp, os.path.join(directory, MANIFEST_NAME))
 
 
+def _check_sample(path: str, arr: np.ndarray, shape: tuple[int, ...], kind: type) -> None:
+    """A sample array must have the manifest's shape and a dtype of `kind`."""
+    if arr.shape != shape or not np.issubdtype(arr.dtype, kind):
+        raise FormatError(f"{path}: expected shape {shape} of {kind.__name__} dtype, "
+                          f"found shape {arr.shape} of dtype {arr.dtype}")
+
+
 def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
+    """Read a dataset directory; a malformed manifest or sample is a FormatError."""
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    with open(path) as f:
-        manifest = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError alike
+        raise FormatError(f"{path} is not a JSON manifest: {e}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path} must hold a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise FormatError(f"unsupported manifest version in {path}")
+    for key in ("count", "height", "width", "classes"):
+        if key not in manifest:
+            raise FormatError(f"{path}: manifest key '{key}' is missing")
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise FormatError(f"{path}: manifest key '{key}' must be a non-negative "
+                              f"integer, got {value!r}")
+    h, w = manifest["height"], manifest["width"]
     samples = []
     for i in range(manifest["count"]):
         stem = os.path.join(directory, f"scene_{i:05d}")
-        samples.append(SegSample(
-            rgb=read_pdt(stem + ".rgb.pdt"),
-            depth=read_pdt(stem + ".depth.pdt"),
-            labels=read_pdt(stem + ".label.pdt"),
-        ))
+        arrays = []
+        for suffix, shape, kind in ((".rgb.pdt", (3, h, w), np.floating),
+                                    (".depth.pdt", (1, h, w), np.floating),
+                                    (".label.pdt", (h, w), np.integer)):
+            arrays.append(read_pdt(stem + suffix))
+            _check_sample(stem + suffix, arrays[-1], shape, kind)
+        samples.append(SegSample(*arrays))
     return manifest, samples

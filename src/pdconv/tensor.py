@@ -2,10 +2,15 @@
 
 Values are plain numpy arrays in batch-channel-height-width layout, row major.
 All conv paths use zero "same" padding and stride 1 unless a spec says
-otherwise.  Dense (non-depthwise) convs run as one BLAS matrix product over
-unrolled input windows, so the reduction order within one output element is
-fixed by that BLAS call: results are bit-identical run to run at a fixed BLAS
-thread count, but may differ in the last bits across thread counts.
+otherwise.  Dense and depthwise convs share one flat layout (`_grid`): each
+channel's zero-padded planes are stacked into one run in which neighbouring
+rows and planes share their zero gaps, so every kernel tap reads one long
+slice of it (at stride s, every s-th element).  A dense conv copies those
+slices into columns and runs one BLAS matrix product per call and direction,
+so the reduction order within one output element is fixed by that BLAS call:
+results are bit-identical run to run at a fixed BLAS thread count, but may
+differ in the last bits across thread counts.  A 1x1 stride-1 unpadded conv
+skips the layout, because its input, reshaped, already is its column matrix.
 Depthwise convs (groups == C) sum their taps one at a time in a fixed (i, j)
 order without BLAS, so their results do not depend on the thread count.
 """
@@ -127,54 +132,57 @@ def _is_plain_1x1(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad_amount() == (0, 0)
 
 
-def _unrolled(x: np.ndarray, spec: ConvSpec, ho: int, wo: int) -> np.ndarray:
-    """Input windows laid out for a matrix product, shape (N, G, Cg*kh*kw, Ho*Wo).
-
-    Built as a strided view of the padded input and copied once (im2col).
-    """
-    n, c = x.shape[:2]
-    kh, kw = spec.kernel
-    g, d, s = spec.groups, spec.dilation, spec.stride
-    if _is_plain_1x1(spec):
-        return x.reshape(n, g, c // g, ho * wo)
-    ph, pw = spec.pad_amount()
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    sn, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh * d, sw * d, sh * s, sw * s), writeable=False)
-    return view.reshape(n, g, c // g * kh * kw, ho * wo)
-
-
 # Padded input bytes per depthwise block: half of a 2 MB per-core L2, so a
 # block's input and output stay in cache across all of its taps.
 _DW_BLOCK_BYTES = 1 << 20
 
 
-def _dw_flat(x: np.ndarray, kernel: tuple[int, int], d: int, pads):
-    """Zero-pad x by pads = (top, bottom, left, right; a negative pad crops)
-    into one flat run per channel, rows wp apart and planes hp rows apart, so
-    neighbours share their zero gaps and tap (i, j) of the stride-1 ho x wo
-    correlation reads one run at offset i*d*wp + j*d.  Returns the runs,
-    (hp, wp, ho, wo) and the (i, j, offset) of each tap whose window overlaps
-    x; the other taps would add exact zeros."""
+def _grid(shape, kernel: tuple[int, int], d: int, pads, s: int = 1):
+    """Geometry of the flat layout of an (N, C, H, W) input zero-padded by
+    pads = (top, bottom, left, right) >= 0.  Per channel the samples are
+    stacked in one zero (R, wp) array, planes hp rows apart, pixel (y, x) at
+    row t + y and column l + x of its plane, so neighbouring rows and planes
+    share their zero gaps; hp and wp are multiples of the stride s.  The flat
+    run puts the s row phases (row mod s) back to back: tap (i, j) of every
+    output then reads every s-th element of one slice of N*hp*wp/s elements,
+    the (N, hp/s, wp/s) output grid, and slack rows after the last plane
+    let every tap read all of it.  Returns (R, hp, wp, ho, wo), ho x wo the
+    stride-1 output size, and the (i, j, offset) of each tap whose window
+    overlaps the input; the other taps add exact zeros."""
+    (n, c, h, w), (kh, kw), (t, b, l, r) = shape, kernel, pads
+    ho, wo = h + t + b - (kh - 1) * d, w + l + r - (kw - 1) * d
+    hp, wp = (-(-(z + max(p, q, o - z)) // s) * s for z, p, q, o in ((h, t, b, ho), (w, l, r, wo)))
+    rows = n * hp + (-(-(t + (kh - 1) * d) // s) + 2) * s
+    taps = [(i, j, (i * d % s * rows // s + i * d // s) * wp + j * d)
+            for i in range(kh) for j in range(kw)
+            if t - ho < i * d < t + h and l - wo < j * d < l + w]
+    return (rows, hp, wp, ho, wo), taps
+
+
+def _inner(padded: np.ndarray, shape, geo, pads) -> np.ndarray:
+    """Where an input of `shape` sits in its (C, R, wp) array, as (C, N, H, W)."""
+    (n, c, h, w), (_, hp, wp, _, _), (t, _, l, _) = shape, geo, pads
+    return padded[:, t:t + n * hp].reshape(c, n, hp, wp)[:, :, :h, l:l + w]
+
+
+def _flat(x: np.ndarray, kernel: tuple[int, int], d: int, pads, s: int = 1):
+    """x on its `_grid` layout, a negative pad cropping x: the runs (C, R*wp),
+    the geometry and the taps.  The row phase split copies only at stride > 1."""
     (t, b, l, r), h, w = pads, x.shape[2], x.shape[3]
     x = x[:, :, max(-t, 0):h - max(-b, 0), max(-l, 0):w - max(-r, 0)]
-    (n, c, h, w), (kh, kw), (t, b, l, r) = x.shape, kernel, [max(p, 0) for p in pads]
-    ho, wo = h + t + b - (kh - 1) * d, w + l + r - (kw - 1) * d
-    hp, wp = h + max(t, b, ho - h), w + max(l, r, wo - w)
-    flat = np.zeros((c, t * wp + l + n * hp * wp), dtype=x.dtype)
-    flat[:, t * wp + l:].reshape(c, n, hp, wp)[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
-    taps = [(i, j, i * d * wp + j * d) for i in range(kh) for j in range(kw)
-            if t - ho < i * d < t + h and l - wo < j * d < l + w]
-    return flat, (hp, wp, ho, wo), taps
+    pads, c = [max(p, 0) for p in pads], x.shape[1]
+    geo, taps = _grid(x.shape, kernel, d, pads, s)
+    padded = np.zeros((c, geo[0], geo[2]), dtype=x.dtype)
+    _inner(padded, x.shape, geo, pads)[...] = x.transpose(1, 0, 2, 3)
+    flat = padded.reshape(c, -1, s, geo[2]).transpose(0, 2, 1, 3).reshape(c, -1)
+    return flat, geo, taps
 
 
 def _dw_correlate(x: np.ndarray, w: np.ndarray, dilation: int, pads) -> np.ndarray:
     """Stride-1 depthwise cross-correlation of x (N, C, H, W) with w (C, kh, kw)
-    on `_dw_flat(x)`, block by block of samples, taps summed in (i, j) order."""
+    on `_flat(x)`, block by block of samples, taps summed in (i, j) order."""
     n, c = x.shape[:2]
-    xp, (hp, wp, ho, wo), taps = _dw_flat(x, w.shape[1:], dilation, pads)
+    xp, (_, hp, wp, ho, wo), taps = _flat(x, w.shape[1:], dilation, pads)
     size, step = n * hp * wp, max(1, _DW_BLOCK_BYTES // (c * hp * wp * x.itemsize)) * hp * wp
     out, prod = np.zeros((c, size), dtype=x.dtype), np.empty((c, min(step, size)), dtype=x.dtype)
     for s in range(0, size, step):
@@ -183,6 +191,32 @@ def _dw_correlate(x: np.ndarray, w: np.ndarray, dilation: int, pads) -> np.ndarr
         for i, j, off in taps:
             acc += np.multiply(xp[:, s + off:s + off + run], w[:, i, j, None], out=tmp)
     return out.reshape(c, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+
+
+def _cols(x: np.ndarray, spec: ConvSpec):
+    """Dense conv columns (C, T, L): row (c, t) is every s-th element of kept
+    tap t's slice of channel c on `_flat(x)`, so column m is position m of the
+    (N, hp/s, wp/s) output grid.  Returns them, (hp/s, wp/s) and the taps."""
+    (ph, pw), s = spec.pad_amount(), spec.stride
+    flat, (_, hp, wp, _, _), taps = _flat(x, spec.kernel, spec.dilation, (ph, ph, pw, pw), s)
+    size = len(x) * hp * wp // s
+    cols = np.stack([flat[:, off:off + size:s] for _, _, off in taps], axis=1)
+    return cols, (hp // s, wp // s), taps
+
+
+def _tap_matrix(w: np.ndarray, groups: int, taps) -> np.ndarray:
+    """Weights (O, Cg, kh, kw) at the kept taps, as (G, O/G, Cg*T)."""
+    o, cg, kh, kw = w.shape
+    kept = w.reshape(o, cg, kh * kw)[:, :, [i * kw + j for i, j, _ in taps]]
+    return kept.reshape(groups, o // groups, -1)
+
+
+def _on_grid(gout: np.ndarray, groups: int, rows: int, wq: int) -> np.ndarray:
+    """gout (N, O, Ho, Wo) on the zero (N, rows, wq) output grid, as (G, O/G, L)."""
+    n, o, ho, wo = gout.shape
+    grid = np.zeros((o, n, rows, wq), dtype=gout.dtype)
+    grid[:, :, :ho, :wo] = gout.transpose(1, 0, 2, 3)
+    return grid.reshape(groups, o // groups, -1)
 
 
 def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -201,8 +235,12 @@ def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> 
     if g == c and cg == 1 and o == c:
         (ph, pw), s = spec.pad_amount(), spec.stride
         out = _dw_correlate(x, w[:, 0], spec.dilation, (ph, ph, pw, pw))[:, :, ::s, ::s].copy()
+    elif _is_plain_1x1(spec):
+        out = (w.reshape(g, o // g, -1) @ x.reshape(n, g, cg, h * w_in)).reshape(n, o, ho, wo)
     else:
-        out = (w.reshape(g, o // g, -1) @ _unrolled(x, spec, ho, wo)).reshape(n, o, ho, wo)
+        cols, (rows, wq), taps = _cols(x, spec)
+        y = _tap_matrix(w, g, taps) @ cols.reshape(g, -1, cols.shape[2])
+        out = y.reshape(o, n, rows, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3).copy()
     if bias is not None:
         out += bias.reshape(1, o, 1, 1)
     return out
@@ -215,30 +253,28 @@ def conv2d_input_grad(gout: np.ndarray, w: np.ndarray, spec: ConvSpec,
     o, cg, kh, kw = w.shape
     ho, wo = gout.shape[2], gout.shape[3]
     g = spec.groups
-    ph, pw = spec.pad_amount()
+    (ph, pw), s = spec.pad_amount(), spec.stride
     if g == c and cg == 1 and o == c:
         # gout spread to stride 1 and correlated with the flipped kernel
-        (eh, ew), s = spec.extent, spec.stride
+        eh, ew = spec.extent
         gs = np.zeros((n, c, (ho - 1) * s + 1, (wo - 1) * s + 1), dtype=gout.dtype)
         gs[:, :, ::s, ::s] = gout
         pads = (eh - 1 - ph, h + ph - gs.shape[2], ew - 1 - pw, w_in + pw - gs.shape[3])
         return _dw_correlate(gs, w[:, 0, ::-1, ::-1], spec.dilation, pads)
-    else:
-        gcols = (w.reshape(g, o // g, -1).swapaxes(1, 2)
-                 @ gout.reshape(n, g, o // g, ho * wo))
-        if _is_plain_1x1(spec):
-            return gcols.reshape(x_shape)
-        # col2im: scatter-add each tap's rows back onto the padded input
-        gcols = gcols.reshape(n, c, kh, kw, ho, wo)
-        gxp = np.zeros((n, c, h + 2 * ph, w_in + 2 * pw), dtype=gout.dtype)
-        d, s = spec.dilation, spec.stride
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i * d:i * d + (ho - 1) * s + 1:s,
-                    j * d:j * d + (wo - 1) * s + 1:s] += gcols[:, :, i, j]
-    if ph == 0 and pw == 0:
-        return gxp
-    return gxp[:, :, ph : ph + h, pw : pw + w_in]
+    if _is_plain_1x1(spec):
+        return (w.reshape(g, o // g, -1).swapaxes(1, 2)
+                @ gout.reshape(n, g, o // g, ho * wo)).reshape(x_shape)
+    # Wᵀ @ gout's grid, each tap's slice scatter-added onto the flat layout,
+    # then the row phases joined back (a copy only at stride > 1)
+    geo, taps = _grid(x_shape, (kh, kw), spec.dilation, (ph, ph, pw, pw), s)
+    (rows, hp, wp, _, _), size = geo, n * geo[1] * geo[2] // s
+    gcols = (_tap_matrix(w, g, taps).swapaxes(1, 2)
+             @ _on_grid(gout, g, hp // s, wp // s)).reshape(c, len(taps), -1)
+    flat = np.zeros((c, s, rows // s, wp), dtype=gout.dtype)
+    for k, (_, _, off) in enumerate(taps):
+        flat.reshape(c, -1)[:, off:off + size:s] += gcols[:, k]
+    padded = flat.transpose(0, 2, 1, 3).reshape(c, rows, wp)
+    return _inner(padded, x_shape, geo, (ph, ph, pw, pw)).transpose(1, 0, 2, 3).copy()
 
 
 def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
@@ -251,7 +287,7 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
     if g == c and cg == 1 and o == c:
         # gout spread onto x's flat grid: one dot product per tap and channel
         (ph, pw), s = spec.pad_amount(), spec.stride
-        xp, (hp, wp, h1, w1), taps = _dw_flat(x, (kh, kw), spec.dilation, (ph, ph, pw, pw))
+        xp, (_, hp, wp, h1, w1), taps = _flat(x, (kh, kw), spec.dilation, (ph, ph, pw, pw))
         grid = np.zeros((c, n, hp, wp), dtype=gout.dtype)
         grid[:, :, :ho * s:s, :wo * s:s] = gout.transpose(1, 0, 2, 3)
         run = ((n - 1) * hp + h1 - 1) * wp + w1
@@ -259,17 +295,16 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
         for i, j, off in taps:
             gw[:, 0, i, j] = np.einsum("cl,cl->c", grid, xp[:, off:off + run])
         return gw
-    cols = _unrolled(x, spec, ho, wo)
-    gs = gout.reshape(n, g, o // g, ho * wo)
-    return (gs @ cols.swapaxes(2, 3)).sum(axis=0).reshape(w_shape)
-
-
-def pointwise_conv(x: np.ndarray, weights: ConvWeights | np.ndarray) -> np.ndarray:
-    """1x1 convolution: a per-pixel linear map across channels."""
-    w = weights.weights if isinstance(weights, ConvWeights) else weights
-    if w.shape[2:] != (1, 1):
-        raise ConfigurationError(f"pointwise conv requires a 1x1 kernel, got {w.shape[2:]}")
-    return conv2d(x, weights, pointwise_spec())
+    if _is_plain_1x1(spec):
+        return (gout.reshape(n, g, o // g, ho * wo)
+                @ x.reshape(n, g, cg, h * w_in).swapaxes(2, 3)).sum(axis=0).reshape(w_shape)
+    # one product per group; cols @ gridᵀ ran ≈2x faster than grid @ colsᵀ
+    cols, (rows, wq), taps = _cols(x, spec)
+    gw = np.zeros((o, cg, kh * kw), dtype=gout.dtype)
+    gw[:, :, [i * kw + j for i, j, _ in taps]] = (
+        cols.reshape(g, -1, cols.shape[2]) @ _on_grid(gout, g, rows, wq).swapaxes(1, 2)
+    ).swapaxes(1, 2).reshape(o, cg, -1)
+    return gw.reshape(w_shape)
 
 
 def flop_count(spec: ConvSpec, channels_in: int, channels_out: int,

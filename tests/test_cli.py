@@ -8,7 +8,7 @@ import pytest
 from pdconv.cli import main
 from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
-from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint
+from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint, write_pdt
 
 
 def run(capsys, *argv):
@@ -91,7 +91,7 @@ def test_bench_runs_and_reports_mac_advantage(capsys):
                        "--reps", "1")
     assert code == 0
     assert "clk/21x21 MACs" in out
-    for op in ("conv2d", "clk", "pdc", "cpdc"):
+    for op in ("conv2d", "conv3x3", "clk", "pdc", "cpdc"):
         assert any(line.startswith(op) for line in out.splitlines())
 
 
@@ -306,3 +306,53 @@ def test_invalid_json_is_usage_error(small_dataset, tmp_path, capsys):
     code, _, err = run(capsys, "train", "--config", path, "--data", small_dataset,
                        "--out", str(tmp_path / "net.pdck"))
     assert code == 2 and err.startswith("error:")
+
+
+def _rewrite_sample(data_dir, part, change):
+    path = os.path.join(data_dir, f"scene_00000.{part}.pdt")
+    write_pdt(path, change(read_pdt(path)))
+
+
+def _rewrite_manifest(data_dir, change):
+    path = os.path.join(data_dir, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    change(manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+
+
+def _write_text(data_dir, name, text):
+    with open(os.path.join(data_dir, name), "w") as f:
+        f.write(text)
+
+
+# each damage, and what the error must name: the file and the key or shape
+DAMAGED_DATASETS = {
+    "label rows cut": (lambda d: _rewrite_sample(d, "label", lambda a: a[:20]),
+                       "scene_00000.label.pdt: expected shape (24, 24)"),
+    "depth of rank 2": (lambda d: _rewrite_sample(d, "depth", lambda a: a[0]),
+                        "found shape (24, 24)"),
+    "rgb of 20x20": (lambda d: _rewrite_sample(d, "rgb", lambda a: a[:, :20, :20]),
+                     "scene_00000.rgb.pdt: expected shape (3, 24, 24)"),
+    "no count": (lambda d: _rewrite_manifest(d, lambda m: m.pop("count")),
+                 "manifest.json: manifest key 'count' is missing"),
+    "count a string": (lambda d: _rewrite_manifest(d, lambda m: m.update(count="12")),
+                       "'count' must be a non-negative integer, got '12'"),
+    "manifest not JSON": (lambda d: _write_text(d, "manifest.json", '{"version": 1,'),
+                          "manifest.json is not a JSON manifest"),
+    "float labels": (lambda d: _rewrite_sample(d, "label", lambda a: a.astype(np.float32)),
+                     "of integer dtype, found shape (24, 24) of dtype float32"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_DATASETS))
+def test_damaged_dataset_is_format_error(damage, small_dataset, config_path, tmp_path,
+                                         capsys):
+    change, named = DAMAGED_DATASETS[damage]
+    change(small_dataset)
+    code, _, err = run(capsys, "train", "--config", config_path, "--data", small_dataset,
+                       "--out", str(tmp_path / "net.pdck"))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err

@@ -35,7 +35,7 @@ def test_cascade_matches_sequential_convs():
     got = clk_forward(x, layer).value
     y = T.conv2d(x, layer.w_local.value, layer.spec_local)
     y = T.conv2d(y, layer.w_long.value, layer.spec_long)
-    want = T.pointwise_conv(y, T.ConvWeights(layer.pw_w.value, layer.pw_b.value))
+    want = T.conv2d(y, T.ConvWeights(layer.pw_w.value, layer.pw_b.value), T.pointwise_spec())
     np.testing.assert_array_equal(got, want)
 
 
@@ -52,7 +52,7 @@ def test_parallel_matches_sum_of_convs():
     got = parallel_forward(x, layer).value
     y = (T.conv2d(x, layer.w_local.value, layer.spec_local)
          + T.conv2d(x, layer.w_long.value, layer.spec_long))
-    want = T.pointwise_conv(y, T.ConvWeights(layer.pw_w.value, layer.pw_b.value))
+    want = T.conv2d(y, T.ConvWeights(layer.pw_w.value, layer.pw_b.value), T.pointwise_spec())
     np.testing.assert_array_equal(got, want)
 
 
@@ -83,8 +83,8 @@ class TestCpdc:
         x = rng.standard_normal((1, 2, 9, 9))
         got = cpdc_forward(x, layer).value
         feat = pdc_forward(pdc_forward(ag.Var(x), layer.stage_local), layer.stage_long)
-        gate = T.pointwise_conv(feat.value,
-                                T.ConvWeights(layer.gate_w.value, layer.gate_b.value))
+        gate = T.conv2d(feat.value, T.ConvWeights(layer.gate_w.value, layer.gate_b.value),
+                        T.pointwise_spec())
         np.testing.assert_array_equal(got, gate * x)
 
 

@@ -56,10 +56,10 @@ def test_matches_composition_of_primitives():
     layer = make_ecf_layer(2, rng=rng, dtype=np.float64)
     fr, fd, hr, hd = make_inputs(rng)
     got = ecf_fuse(fr, fd, hr, hd, layer).value
-    gate_r = T.pointwise_conv(hr, T.ConvWeights(layer.gate_rgb_w.value,
-                                                layer.gate_rgb_b.value))
-    gate_d = T.pointwise_conv(hd, T.ConvWeights(layer.gate_depth_w.value,
-                                                layer.gate_depth_b.value))
+    gate_r = T.conv2d(hr, T.ConvWeights(layer.gate_rgb_w.value, layer.gate_rgb_b.value),
+                      T.pointwise_spec())
+    gate_d = T.conv2d(hd, T.ConvWeights(layer.gate_depth_w.value, layer.gate_depth_b.value),
+                      T.pointwise_spec())
     want = (float(layer.eta.value) * (gate_r * hr + fr)
             + float(layer.lam.value) * (gate_d * hd + fd))
     np.testing.assert_allclose(got, want, rtol=1e-12)

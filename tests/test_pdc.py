@@ -103,7 +103,8 @@ class TestGated:
         x = rng.standard_normal((1, 2, 7, 7))
         got = pdc_gated(x, layer).value
         feat = pdc_forward(x, layer).value
-        gate = T.pointwise_conv(feat, T.ConvWeights(layer.gate_w.value, layer.gate_b.value))
+        gate = T.conv2d(feat, T.ConvWeights(layer.gate_w.value, layer.gate_b.value),
+                        T.pointwise_spec())
         np.testing.assert_array_equal(got, gate * x)
 
 

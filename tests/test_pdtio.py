@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdconv import pdtio
+from pdconv import pdtio, scenes
 from pdconv.errors import DimensionError, FormatError
 
 
@@ -143,20 +143,54 @@ def valid_files(tmp_path_factory):
             "pdck": ((d / "c.pdck").read_bytes(), pdtio.read_checkpoint)}
 
 
+def _damaged(raw: bytes, data) -> bytes:
+    """raw cut at a drawn length, then up to six drawn bytes overwritten."""
+    buf = bytearray(raw[:data.draw(st.integers(0, len(raw)), label="cut")])
+    if buf:
+        edits = st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255))
+        for at, byte in data.draw(st.lists(edits, max_size=6), label="edits"):
+            buf[at] = byte
+    return bytes(buf)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_damaged_files_raise_only_format_error(valid_files, tmp_path_factory, data):
     # a truncated and/or byte-mutated file either still parses or raises FormatError
     kind = data.draw(st.sampled_from(sorted(valid_files)), label="kind")
     raw, read = valid_files[kind]
-    buf = bytearray(raw[:data.draw(st.integers(0, len(raw)), label="cut")])
-    if buf:
-        edits = st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255))
-        for at, byte in data.draw(st.lists(edits, max_size=6), label="edits"):
-            buf[at] = byte
     path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
-    path.write_bytes(bytes(buf))
+    path.write_bytes(_damaged(raw, data))
     try:
         read(str(path))
     except FormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    """The files of one valid two-scene dataset directory, by name."""
+    d = tmp_path_factory.mktemp("dataset")
+    scenes.save_dataset(str(d), 2, seed=3, cfg=scenes.SceneConfig(height=16, width=16,
+                                                                  classes=3))
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_dataset_raises_only_format_error(valid_dataset, tmp_path_factory, data):
+    # with one file damaged or deleted, load_dataset either loads or raises
+    # FormatError, or FileNotFoundError for a file it does not find
+    d = tmp_path_factory.getbasetemp() / "fuzz_dataset"
+    d.mkdir(exist_ok=True)
+    for name, raw in valid_dataset.items():
+        (d / name).write_bytes(raw)
+    name = data.draw(st.sampled_from(sorted(valid_dataset)), label="file")
+    if data.draw(st.booleans(), label="delete"):
+        (d / name).unlink()
+    else:
+        (d / name).write_bytes(_damaged(valid_dataset[name], data))
+    try:
+        scenes.load_dataset(str(d))
+    except (FormatError, FileNotFoundError):
         pass

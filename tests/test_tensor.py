@@ -57,7 +57,7 @@ def test_conv_matches_naive_grid(kernel, dilation, groups):
 
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("groups", ["one", "two", "depthwise"])
 def test_conv_grads_are_adjoint_to_naive(kernel, dilation, stride, groups):
     # conv is bilinear, so <conv(x, w), g> = <x, dx(g)> = <w, dw(g)> for any g
@@ -154,24 +154,24 @@ class TestPointwise:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 2, 4, 4))
         w = np.eye(2).reshape(2, 2, 1, 1)
-        np.testing.assert_array_equal(T.pointwise_conv(x, w), x)
+        np.testing.assert_array_equal(T.conv2d(x, w, T.pointwise_spec()), x)
 
     def test_channel_sum(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 4, 4))
         w = np.ones((1, 2, 1, 1))
-        np.testing.assert_allclose(T.pointwise_conv(x, w)[0, 0], x[0, 0] + x[0, 1])
+        np.testing.assert_allclose(T.conv2d(x, w, T.pointwise_spec())[0, 0], x[0, 0] + x[0, 1])
 
     def test_matches_naive(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 1, 1))
-        np.testing.assert_allclose(T.pointwise_conv(x, w),
+        np.testing.assert_allclose(T.conv2d(x, w, T.pointwise_spec()),
                                    naive_conv2d(x, w, T.pointwise_spec()), rtol=1e-6)
 
     def test_rejects_non_1x1(self):
         with pytest.raises(ConfigurationError):
-            T.pointwise_conv(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)))
+            T.conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), T.pointwise_spec())
 
 
 class TestFlopCount:
@@ -192,7 +192,7 @@ class TestFlopCount:
         assert abs(small / big - 0.168) < 1e-3
 
 
-def _check_depthwise(x, w, spec, rng):
+def _check_conv(x, w, spec, rng):
     """Forward against naive_conv2d; dx and dw through the adjoint identity."""
     y = naive_conv2d(x, w, spec)
     np.testing.assert_allclose(T.conv2d(x, w, spec), y, rtol=1e-10, atol=1e-12)
@@ -204,28 +204,39 @@ def _check_depthwise(x, w, spec, rng):
                                ref, rtol=1e-10)
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 5])
-@pytest.mark.parametrize("dilation", [1, 2])
-@pytest.mark.parametrize("padding", [(0, 0), (2, 1)])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_depthwise_explicit_padding(kernel, dilation, padding, stride):
-    # padding (2, 1) exceeds a 1x1 kernel's extent, so input-grad crops
+def _with_groups(cases, ids):
+    """Each case once per grouping; the depthwise cases keep their plain ids."""
+    return [pytest.param(*case, groups, id=(i if groups == "depthwise" else f"{groups}-{i}"))
+            for groups in ("depthwise", "one", "two") for case, i in zip(cases, ids)]
+
+
+_PADDING_CASES = [(k, d, p, s) for k in (1, 3, 5) for d in (1, 2)
+                  for p in ((0, 0), (2, 1)) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("kernel, dilation, padding, stride, groups", _with_groups(
+    _PADDING_CASES, [f"{s}-padding{int(p != (0, 0))}-{d}-{k}" for k, d, p, s in _PADDING_CASES]))
+def test_depthwise_explicit_padding(kernel, dilation, padding, stride, groups):
+    # padding (2, 1) exceeds a 1x1 kernel's extent, so input-grad crops; 13
+    # rows plus their zero gap make an odd plane height, which stride 2 rounds up
     rng = np.random.default_rng(kernel * 100 + dilation * 10 + stride)
-    x = rng.standard_normal((2, 3, 13, 10))
-    w = rng.standard_normal((3, 1, kernel, kernel))
+    c, g = _grid_groups(groups)
+    x = rng.standard_normal((2, c, 13, 10))
+    w = rng.standard_normal((c, c // g, kernel, kernel))
     spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride,
-                      padding=padding, groups=3)
-    _check_depthwise(x, w, spec, rng)
+                      padding=padding, groups=g)
+    _check_conv(x, w, spec, rng)
 
 
-@pytest.mark.parametrize("size", [1, 2, 6])
-def test_depthwise_7x7_d3_on_tiny_inputs(size):
+@pytest.mark.parametrize("size, groups", _with_groups([(1,), (2,), (6,)], ["1", "2", "6"]))
+def test_depthwise_7x7_d3_on_tiny_inputs(size, groups):
     # most taps read only padding at these sizes (the deepest CPDC stage of
     # the gradcheck network and of training stage 3)
     rng = np.random.default_rng(size)
-    x = rng.standard_normal((2, 3, size, size))
-    w = rng.standard_normal((3, 1, 7, 7))
-    _check_depthwise(x, w, T.depthwise_spec(3, (7, 7), dilation=3), rng)
+    c, g = _grid_groups(groups)
+    x = rng.standard_normal((2, c, size, size))
+    w = rng.standard_normal((c, c // g, 7, 7))
+    _check_conv(x, w, T.ConvSpec(kernel=(7, 7), dilation=3, groups=g), rng)
 
 
 def test_depthwise_blocks_match_per_sample():
