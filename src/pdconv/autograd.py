@@ -168,8 +168,9 @@ def reduce_to_channel(w: Var) -> Var:
 
 def conv(x, w, spec: T.ConvSpec, bias: Var | None = None) -> Var:
     x, w = as_var(x), as_var(w)
-    b_arr = bias.value if bias is not None else None
-    val = T.conv2d(x.value, T.ConvWeights(w.value, b_arr), spec)
+    # bias passed positionally: a tracing wrapper of conv2d may take only
+    # (x, w, spec, *rest)
+    val = T.conv2d(x.value, w.value, spec, None if bias is None else bias.value)
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bwd(g):

@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="compare analytic and numeric gradients")
     p.add_argument("--op", help="check a single registered op")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=["f64"], default="f64")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("equivalence", help="cross-check the two blend formulations")

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 from .network import NetConfig, TrainConfig
-from .scenes import SceneConfig
 
 # Fields a run sets elsewhere, each with where it comes from
 _MODEL_SET_PER_RUN = {"classes": "the dataset manifest", "variant": "--variant"}
@@ -20,7 +19,6 @@ _TRAINING_SET_PER_RUN = {"seed": "the top-level 'seed' (or --seed)"}
 class RunConfig:
     seed: int = 0
     model: NetConfig = field(default_factory=NetConfig)
-    generator: SceneConfig = field(default_factory=SceneConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
 
 
@@ -67,14 +65,13 @@ def load_run_config(path: str) -> RunConfig:
             raise ConfigurationError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    unknown = set(data) - {"seed", "model", "generator", "training"}
+    unknown = set(data) - {"seed", "model", "training"}
     if unknown:
         raise ConfigurationError(f"unknown top-level key(s) {sorted(unknown)} in {path}")
     return RunConfig(
         seed=_typed(data.get("seed", 0), 0, f"{path} seed"),
         model=_build(NetConfig, data.get("model", {}), f"{path} model",
                      skip=_MODEL_SET_PER_RUN),
-        generator=_build(SceneConfig, data.get("generator", {}), f"{path} generator"),
         training=_build(TrainConfig, data.get("training", {}), f"{path} training",
                         skip=_TRAINING_SET_PER_RUN),
     )

@@ -31,7 +31,12 @@ from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
 from .pdtio import load_into, read_checkpoint, write_checkpoint
 from .scenes import SegSample
 
-VARIANTS = ("full", "vanilla-baseline", "swap", "pdc-only", "cpdc-only")
+# (rgb op, depth op) per variant, in checkpoint code order; a trailing "0"
+# means the op's blend is fixed at 0, a vanilla depthwise conv
+_BRANCH_OPS = {"full": ("cpdc", "pdc"), "vanilla-baseline": ("cpdc0", "pdc0"),
+               "swap": ("pdc", "cpdc"), "pdc-only": ("cpdc0", "pdc"),
+               "cpdc-only": ("cpdc", "pdc0")}
+VARIANTS = tuple(_BRANCH_OPS)
 ALPHA_MODES = ("learnable", "fixed")  # checkpoint codes 0 and 1
 
 cross_entropy = ag.cross_entropy
@@ -114,24 +119,13 @@ class NetConfig:
         if not (0.0 <= self.alpha_value <= 1.0):
             raise ConfigurationError(f"alpha_value must be in [0,1], got {self.alpha_value}")
         if self.classes < 2:
-            raise ConfigurationError("need at least 2 classes")
-        if (not self.channels or min(self.channels) < 1 or self.blocks_per_stage < 1
-                or self.decoder_channels < 1):
+            raise ConfigurationError(f"classes must be at least 2, got {self.classes}")
+        if not self.channels or min(self.channels) < 1:
             raise ConfigurationError(
-                "channels (non-empty), blocks_per_stage and decoder_channels must be positive")
-
-
-def _branch_ops(cfg: NetConfig) -> tuple[str, str]:
-    """(rgb op, depth op) per variant; 'vanilla' means blend fixed at 0."""
-    if cfg.variant == "full":
-        return "cpdc", "pdc"
-    if cfg.variant == "vanilla-baseline":
-        return "cpdc0", "pdc0"
-    if cfg.variant == "swap":
-        return "pdc", "cpdc"
-    if cfg.variant == "pdc-only":
-        return "cpdc0", "pdc"
-    return "cpdc", "pdc0"  # cpdc-only
+                f"channels must be non-empty and positive, got {self.channels}")
+        for key in ("blocks_per_stage", "decoder_channels"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 class ToyPdcNet:
@@ -142,7 +136,7 @@ class ToyPdcNet:
         self.dtype = dtype
         ch = cfg.channels
         alpha_fixed = cfg.alpha_value if cfg.alpha_mode == "fixed" else None
-        rgb_op, depth_op = _branch_ops(cfg)
+        rgb_op, depth_op = _BRANCH_OPS[cfg.variant]
 
         # learnable blends start at 0.8 (stored ln 4): the difference term is
         # the operator's point, so it dominates from the first step and the
@@ -279,15 +273,18 @@ class ToyPdcNet:
                                   f"not a code in 0..{len(names) - 1}")
             return names[value]
 
-        cfg = NetConfig(
-            classes=int(meta_value("classes")),
-            channels=tuple(int(c) for c in meta_value("channels", scalar=False)),
-            blocks_per_stage=int(meta_value("blocks_per_stage")),
-            decoder_channels=int(meta_value("decoder_channels")),
-            variant=code("variant", VARIANTS),
-            alpha_mode=code("alpha_mode", ALPHA_MODES),
-            alpha_value=float(meta_value("alpha_value")),
-        )
+        try:
+            cfg = NetConfig(
+                classes=int(meta_value("classes")),
+                channels=tuple(int(c) for c in meta_value("channels", scalar=False)),
+                blocks_per_stage=int(meta_value("blocks_per_stage")),
+                decoder_channels=int(meta_value("decoder_channels")),
+                variant=code("variant", VARIANTS),
+                alpha_mode=code("alpha_mode", ALPHA_MODES),
+                alpha_value=float(meta_value("alpha_value")),
+            )
+        except ConfigurationError as e:  # NetConfig's message names the key
+            raise FormatError(f"checkpoint {path}: 'meta.*' value out of range: {e}") from None
         net = cls(cfg, dtype=dtype)
         load_into({name: p.value for name, p in net.parameters().items()}, saved)
         return net

@@ -140,7 +140,10 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
 
 
 def load_into(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
-    """Copy saved tensors into existing parameter arrays, strictly by name."""
+    """Copy saved tensors into existing parameter arrays, strictly by name.
+
+    Values are checked here, where they enter the program: a tensor that is
+    not finite in the parameter's dtype is a FormatError."""
     for name in saved:
         if name not in params:
             raise FormatError(f"checkpoint has unknown tensor {name!r}")
@@ -152,4 +155,8 @@ def load_into(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> No
             raise DimensionError(
                 f"checkpoint tensor {name!r} has shape {src.shape}, expected {dst.shape}"
             )
-        dst[...] = src.astype(dst.dtype)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            value = src.astype(dst.dtype)
+        if not np.isfinite(value).all():
+            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
+        dst[...] = value

@@ -200,10 +200,13 @@ def save_dataset(directory: str, count: int, seed: int, cfg: SceneConfig) -> Non
 
 
 def _check_sample(path: str, arr: np.ndarray, shape: tuple[int, ...], kind: type) -> None:
-    """A sample array must have the manifest's shape and a dtype of `kind`."""
+    """A sample array must have the manifest's shape, a dtype of `kind` and
+    finite values."""
     if arr.shape != shape or not np.issubdtype(arr.dtype, kind):
         raise FormatError(f"{path}: expected shape {shape} of {kind.__name__} dtype, "
                           f"found shape {arr.shape} of dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path} holds non-finite values")
 
 
 def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:

@@ -17,13 +17,11 @@ order without BLAS, so their results do not depend on the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
-
-FLOAT_DTYPES = (np.float32, np.float64)
 
 
 def check_nchw(x: np.ndarray, name: str = "input") -> None:
@@ -91,27 +89,12 @@ def depthwise_spec(channels: int, kernel: tuple[int, int], dilation: int = 1) ->
     return ConvSpec(kernel=kernel, dilation=dilation, groups=channels)
 
 
-@dataclass
-class ConvWeights:
-    """Kernel weights (out_channels, in_channels/groups, kh, kw) plus optional bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.weights.ndim != 4:
-            raise DimensionError(f"weights must be rank 4, got rank {self.weights.ndim}")
-        if not np.all(np.isfinite(self.weights)):
-            raise ConfigurationError("weights contain non-finite values")
-        if self.bias is not None and self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"bias axis C must have length {self.weights.shape[0]}, got {self.bias.shape}"
-            )
-
-
-def _validate_conv(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> None:
+def _validate_conv(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
+                   bias: np.ndarray | None) -> None:
     check_nchw(x)
-    n, c, h, w_ = x.shape
+    if w.ndim != 4:
+        raise DimensionError(f"weights must be rank 4, got rank {w.ndim}")
+    c = x.shape[1]
     o, cg, kh, kw = w.shape
     if (kh, kw) != spec.kernel:
         raise ConfigurationError(f"weight kernel {kh}x{kw} does not match spec {spec.kernel}")
@@ -125,6 +108,8 @@ def _validate_conv(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> None:
         )
     if x.dtype != w.dtype:
         raise DimensionError(f"dtype mismatch: input {x.dtype} vs weights {w.dtype}")
+    if bias is not None and bias.shape != (o,):
+        raise DimensionError(f"bias axis C must have length {o}, got {bias.shape}")
 
 
 def _is_plain_1x1(spec: ConvSpec) -> bool:
@@ -219,15 +204,15 @@ def _on_grid(gout: np.ndarray, groups: int, rows: int, wq: int) -> np.ndarray:
     return grid.reshape(groups, o // groups, -1)
 
 
-def conv2d(x: np.ndarray, weights: ConvWeights | np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Zero-padded 2-D convolution (cross-correlation) over NCHW input.
+def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
+           bias: np.ndarray | None = None) -> np.ndarray:
+    """Zero-padded 2-D convolution (cross-correlation) of NCHW input with
+    weights (O, C/groups, kh, kw), plus an optional bias of length O.
 
     Supports dilation, stride, and channel groups; groups == C is the
     depthwise case, kernel (1,1) with groups == 1 the pointwise case.
     """
-    w = weights.weights if isinstance(weights, ConvWeights) else weights
-    bias = weights.bias if isinstance(weights, ConvWeights) else None
-    _validate_conv(x, w, spec)
+    _validate_conv(x, w, spec, bias)
     n, c, h, w_in = x.shape
     o, cg, kh, kw = w.shape
     ho, wo = spec.out_spatial(h, w_in)

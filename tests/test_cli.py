@@ -8,6 +8,7 @@ import pytest
 from pdconv.cli import main
 from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
+from pdconv.network import NetConfig, ToyPdcNet
 from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint, write_pdt
 
 
@@ -266,25 +267,27 @@ class TestRunConfig:
         assert cfg.training.lr == 1.0 and isinstance(cfg.training.lr, float)
 
 
+# each malformed config, and what the error must name
 MALFORMED_CONFIGS = [
-    {"model": {"decoder_channels": 0}},
-    {"model": {"decoder_channels": -1}},
-    {"model": {"channels": []}},
-    {"model": {"channels": [4.5]}},
-    {"model": {"alpha_value": 2}},
-    {"model": {"blocks_per_stage": True}},
-    {"seed": "abc"},
-    {"seed": -1},
-    {"training": {"lr": "0.1"}},
-    {"training": {"epochs": 1.5}},
-    {"model": [1]},
-    {"training": {"val_fraction": 2}},
-    {"generator": {"depth_gap": [0.25, "x"]}},
+    ({"model": {"decoder_channels": 0}}, "decoder_channels must be positive"),
+    ({"model": {"decoder_channels": -1}}, "decoder_channels must be positive"),
+    ({"model": {"channels": []}}, "model.channels must be a non-empty list"),
+    ({"model": {"channels": [4.5]}}, "model.channels must be int"),
+    ({"model": {"alpha_value": 2}}, "alpha_value must be in [0,1]"),
+    ({"model": {"blocks_per_stage": True}}, "model.blocks_per_stage must be int"),
+    ({"seed": "abc"}, "seed must be int"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"training": {"lr": "0.1"}}, "training.lr must be float"),
+    ({"training": {"epochs": 1.5}}, "training.epochs must be int"),
+    ({"model": [1]}, "model must be a JSON object"),
+    ({"training": {"val_fraction": 2}}, "val_fraction must be in [0,1)"),
+    ({"generator": {"depth_gap": [0.25, "x"]}}, "unknown top-level key(s) ['generator']"),
 ]
 
 
-@pytest.mark.parametrize("case", MALFORMED_CONFIGS, ids=json.dumps)
-def test_malformed_run_config_is_usage_error(case, small_dataset, tmp_path, capsys):
+@pytest.mark.parametrize("case, named", [pytest.param(*c, id=json.dumps(c[0]))
+                                         for c in MALFORMED_CONFIGS])
+def test_malformed_run_config_is_usage_error(case, named, small_dataset, tmp_path, capsys):
     config = dict(SMALL_CONFIG)
     for key, value in case.items():
         base = config.get(key)
@@ -297,6 +300,7 @@ def test_malformed_run_config_is_usage_error(case, small_dataset, tmp_path, caps
                        "--out", str(tmp_path / "net.pdck"))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
 
 
 def test_invalid_json_is_usage_error(small_dataset, tmp_path, capsys):
@@ -322,6 +326,12 @@ def _rewrite_manifest(data_dir, change):
         json.dump(manifest, f)
 
 
+def _one_nan(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
 def _write_text(data_dir, name, text):
     with open(os.path.join(data_dir, name), "w") as f:
         f.write(text)
@@ -343,6 +353,8 @@ DAMAGED_DATASETS = {
                           "manifest.json is not a JSON manifest"),
     "float labels": (lambda d: _rewrite_sample(d, "label", lambda a: a.astype(np.float32)),
                      "of integer dtype, found shape (24, 24) of dtype float32"),
+    "nan depth": (lambda d: _rewrite_sample(d, "depth", _one_nan),
+                  "scene_00000.depth.pdt holds non-finite values"),
 }
 
 
@@ -354,5 +366,44 @@ def test_damaged_dataset_is_format_error(damage, small_dataset, config_path, tmp
     code, _, err = run(capsys, "train", "--config", config_path, "--data", small_dataset,
                        "--out", str(tmp_path / "net.pdck"))
     assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+def _set_first(key, value):
+    def change(state):
+        state[key] = state[key].copy()
+        state[key].flat[0] = value
+    return change
+
+
+# each damage to a valid checkpoint, and what the error must name
+BAD_CHECKPOINTS = {
+    "nan conv weight": (_set_first("s0.rgb_blk0.c1.w", np.nan),
+                        "checkpoint tensor 's0.rgb_blk0.c1.w' holds non-finite values"),
+    "nan ecf eta": (_set_first("s0.ecf.eta", np.nan),
+                    "checkpoint tensor 's0.ecf.eta' holds non-finite values"),
+    "inf stem gamma": (_set_first("stem_rgb.gamma", np.inf),
+                       "checkpoint tensor 'stem_rgb.gamma' holds non-finite values"),
+    "alpha_value 2.0": (_set_first("meta.alpha_value", 2.0),
+                        "net.pdck: 'meta.*' value out of range: alpha_value must be in [0,1]"),
+    "classes 1": (_set_first("meta.classes", 1),
+                  "net.pdck: 'meta.*' value out of range: classes must be at least 2"),
+    "channels [0, 6]": (_set_first("meta.channels", 0),
+                        "net.pdck: 'meta.*' value out of range: channels must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_CHECKPOINTS))
+def test_eval_bad_checkpoint_values_are_format_error(damage, small_dataset, tmp_path,
+                                                     capsys):
+    cfg = NetConfig(classes=3, channels=(4, 6), blocks_per_stage=1, decoder_channels=8)
+    state = ToyPdcNet(cfg, rng=np.random.default_rng(0)).state_dict()
+    change, named = BAD_CHECKPOINTS[damage]
+    change(state)
+    ckpt = str(tmp_path / "net.pdck")
+    write_checkpoint(ckpt, state)
+    code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset)
+    assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err

@@ -217,7 +217,7 @@ class TestNetwork:
         state["meta.alpha_value"] = np.asarray([2.0])
         path = str(tmp_path / "net.pdck")
         write_checkpoint(path, state)
-        with pytest.raises(ConfigurationError, match="alpha_value"):
+        with pytest.raises(FormatError, match="alpha_value"):
             ToyPdcNet.load(path)
 
     @pytest.mark.parametrize("key, value", [

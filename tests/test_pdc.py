@@ -103,8 +103,7 @@ class TestGated:
         x = rng.standard_normal((1, 2, 7, 7))
         got = pdc_gated(x, layer).value
         feat = pdc_forward(x, layer).value
-        gate = T.conv2d(feat, T.ConvWeights(layer.gate_w.value, layer.gate_b.value),
-                        T.pointwise_spec())
+        gate = T.conv2d(feat, layer.gate_w.value, T.pointwise_spec(), layer.gate_b.value)
         np.testing.assert_array_equal(got, gate * x)
 
 

@@ -102,6 +102,14 @@ def test_load_into_rejects_missing_name():
         pdtio.load_into(params, {"a": np.ones(3)})
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300], ids=repr)  # 1e300: inf as f32
+def test_load_into_rejects_non_finite(value):
+    params = {"a": np.zeros(3, dtype=np.float32)}
+    with pytest.raises(FormatError, match="'a' holds non-finite values"):
+        pdtio.load_into(params, {"a": np.array([0.0, value, 0.0])})
+    assert not params["a"].any()
+
+
 def _two_tensor_checkpoint(tmp_path, second_name: bytes):
     """A valid checkpoint of tensors 'ab' and 'cd' with the second name's bytes replaced."""
     path = tmp_path / "net.pdck"

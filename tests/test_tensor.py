@@ -149,6 +149,17 @@ def test_dtype_mismatch_rejected():
         T.conv2d(x, w, T.ConvSpec(kernel=(3, 3)))
 
 
+def test_rank3_weights_rejected():
+    with pytest.raises(DimensionError, match="rank 4"):
+        T.conv2d(np.ones((1, 2, 4, 4)), np.ones((2, 3, 3)), T.depthwise_spec(2, (3, 3)))
+
+
+def test_bias_length_must_match_output_channels():
+    with pytest.raises(DimensionError, match="bias"):
+        T.conv2d(np.ones((1, 2, 4, 4)), np.ones((3, 2, 1, 1)), T.pointwise_spec(),
+                 np.ones(2))
+
+
 class TestPointwise:
     def test_identity_weights(self):
         rng = np.random.default_rng(0)
