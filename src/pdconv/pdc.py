@@ -3,8 +3,9 @@ learnable mixing coefficient and an optional channel gate.
 
 The blend coefficient has two parameterizations: a stored real squashed to
 (0,1) through a logistic (the learnable mode) and a fixed-value bypass used
-for ablation sweeps.  The production path is the rewritten single-conv form;
-the definitional two-term form is kept as its cross-check oracle.
+for ablation sweeps.  The production path is the rewritten form, one
+depthwise conv minus a center product, conv(x, w) - alpha * x * sum(w); the
+definitional two-term form is kept as its cross-check oracle.
 """
 
 from __future__ import annotations

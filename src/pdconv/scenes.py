@@ -56,6 +56,9 @@ class SceneConfig:
             )
         if self.depth_gap[0] < 0.2:
             raise ConfigurationError("depth gap must be at least 0.2")
+        for name, value in (("rgb_noise", self.rgb_noise), ("depth_noise", self.depth_noise)):
+            if not 0.0 <= value < np.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -177,6 +180,8 @@ MANIFEST_VERSION = 1
 
 
 def save_dataset(directory: str, count: int, seed: int, cfg: SceneConfig) -> None:
+    if count < 0:
+        raise ConfigurationError(f"scene count must be >= 0, got {count}")
     os.makedirs(directory, exist_ok=True)
     for i in range(count):
         sample = gen_scene(seed + i, cfg)

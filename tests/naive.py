@@ -8,12 +8,14 @@ import numpy as np
 
 
 def naive_conv2d(x, w, spec, bias=None):
-    """Direct six-nested-loop zero-padded convolution."""
+    """Direct six-nested-loop convolution with zero "same" padding: (k-1)*d/2
+    zeros on each side, output positions every s-th input pixel from 0."""
     nb, c, h, w_in = x.shape
     o, cg, kh, kw = w.shape
-    ph, pw = spec.pad_amount()
-    ho, wo = spec.out_spatial(h, w_in)
     d, s, g = spec.dilation, spec.stride, spec.groups
+    ph, pw = (kh - 1) * d // 2, (kw - 1) * d // 2
+    ho = (h + 2 * ph - (kh - 1) * d - 1) // s + 1
+    wo = (w_in + 2 * pw - (kw - 1) * d - 1) // s + 1
     og = o // g
     out = np.zeros((nb, o, ho, wo), dtype=x.dtype)
     for n in range(nb):

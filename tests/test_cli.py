@@ -127,6 +127,22 @@ class TestGenCommand:
                            "--height", "8", "--width", "8")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--depth-noise", "-1"), ("--depth-noise", "nan"),
+                                             ("--count", "-1")],
+                             ids=["negative-noise", "nan-noise", "negative-count"])
+    def test_bad_value_is_usage_error_that_writes_nothing(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x"
+        args = {"--out": str(out), "--count": "2", "--seed": "0", flag: value}
+        code, _, err = run(capsys, "gen", *[a for pair in args.items() for a in pair])
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_zero_count_writes_an_empty_dataset(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, stdout, _ = run(capsys, "gen", "--out", str(out), "--count", "0", "--seed", "0")
+        assert code == 0 and "wrote 0 scenes" in stdout
+        assert json.loads((out / "manifest.json").read_text())["count"] == 0
+
 
 class TestTrainEvalFlow:
     def test_train_then_eval(self, small_dataset, config_path, tmp_path, capsys):

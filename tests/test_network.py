@@ -145,6 +145,10 @@ class TestScenes:
             SceneConfig(depth_gap=(0.1, 0.3))
         with pytest.raises(ConfigurationError):
             SceneConfig(classes=12, width=20, height=20)
+        for field in ("rgb_noise", "depth_noise"):
+            for value in (-0.01, float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=field):
+                    SceneConfig(**{field: value})
 
     def test_dataset_round_trip(self, tmp_path):
         cfg = SceneConfig(height=20, width=20, classes=4)
