@@ -39,33 +39,49 @@ def test_dilated_depthwise_matches_naive_loop():
 
 
 def _grid_groups(groups: str) -> tuple[int, int]:
-    """(channels, groups) for a named grouping: dense or depthwise."""
-    return {"one": (3, 1), "depthwise": (3, 3)}[groups]
+    """(channels, groups) for a named grouping: dense, depthwise, or 'two'
+    groups of an even C, which conv2d rejects."""
+    return {"one": (3, 1), "two": (4, 2), "depthwise": (3, 3)}[groups]
+
+
+def _supported(spec: T.ConvSpec) -> bool:
+    """Whether conv2d runs a grid case (O == C): dense, or depthwise at stride 1."""
+    return spec.groups == 1 or spec.stride == 1 and spec.groups == _grid_groups("depthwise")[1]
+
+
+def _expect_rejected(x, w, spec):
+    """All three directions raise ConfigurationError for an unsupported geometry."""
+    gout = np.ones((x.shape[0], w.shape[0]) + spec.out_spatial(*x.shape[2:]))
+    with pytest.raises(ConfigurationError, match="unsupported conv"):
+        T.conv2d(x, w, spec)
+    with pytest.raises(ConfigurationError, match="unsupported conv"):
+        T.conv2d_input_grad(gout, w, spec, x.shape)
+    with pytest.raises(ConfigurationError, match="unsupported conv"):
+        T.conv2d_weight_grad(gout, x, spec, w.shape)
 
 
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-@pytest.mark.parametrize("groups", ["one", "depthwise"])
+@pytest.mark.parametrize("groups", ["one", "two", "depthwise"])
 def test_conv_matches_naive_grid(kernel, dilation, groups):
     rng = np.random.default_rng(kernel * 10 + dilation)
     c, g = _grid_groups(groups)
     x = rng.standard_normal((2, c, 9, 8))
     w = rng.standard_normal((c, c // g, kernel, kernel))
-    for stride in ((1, 2) if g == 1 else (1,)):
+    for stride in (1, 2):
         spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride,
                           groups=g)
+        if not _supported(spec):
+            _expect_rejected(x, w, spec)
+            continue
         np.testing.assert_allclose(T.conv2d(x, w, spec), naive_conv2d(x, w, spec),
                                    rtol=1e-10, atol=1e-12)
 
 
-# dense convs at strides 1-3, depthwise ones at stride 1 only
-_ADJOINT_CASES = [("one", 1), ("one", 2), ("one", 3), ("depthwise", 1)]
-
-
 @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-@pytest.mark.parametrize("groups, stride", _ADJOINT_CASES,
-                         ids=[f"{g}-{s}" for g, s in _ADJOINT_CASES])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("groups", ["one", "two", "depthwise"])
 def test_conv_grads_are_adjoint_to_naive(kernel, dilation, stride, groups):
     # conv is bilinear, so <conv(x, w), g> = <x, dx(g)> = <w, dw(g)> for any g
     rng = np.random.default_rng(100 * kernel + 10 * dilation + stride)
@@ -73,6 +89,9 @@ def test_conv_grads_are_adjoint_to_naive(kernel, dilation, stride, groups):
     x = rng.standard_normal((2, c, 9, 8))
     w = rng.standard_normal((c, c // g, kernel, kernel))
     spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride, groups=g)
+    if not _supported(spec):
+        _expect_rejected(x, w, spec)
+        return
     y = naive_conv2d(x, w, spec)
     gout = rng.standard_normal(y.shape)
     ref = np.vdot(y, gout)
@@ -153,15 +172,7 @@ def test_channel_mismatch_names_axis():
                          ids=["groups-2-of-4", "depthwise-multiplier-2", "depthwise-stride-2"])
 def test_unsupported_geometry_rejected_in_every_direction(c, o, groups, stride):
     spec = T.ConvSpec(kernel=(3, 3), stride=stride, groups=groups)
-    x = np.ones((1, c, 6, 6))
-    w = np.ones((o, c // groups, 3, 3))
-    gout = np.ones((1, o) + spec.out_spatial(6, 6))
-    with pytest.raises(ConfigurationError, match="unsupported conv"):
-        T.conv2d(x, w, spec)
-    with pytest.raises(ConfigurationError, match="unsupported conv"):
-        T.conv2d_input_grad(gout, w, spec, x.shape)
-    with pytest.raises(ConfigurationError, match="unsupported conv"):
-        T.conv2d_weight_grad(gout, x, spec, w.shape)
+    _expect_rejected(np.ones((1, c, 6, 6)), np.ones((o, c // groups, 3, 3)), spec)
 
 
 def test_dtype_mismatch_rejected():
@@ -226,7 +237,11 @@ class TestFlopCount:
 
 
 def _check_conv(x, w, spec, rng):
-    """Forward against naive_conv2d; dx and dw through the adjoint identity."""
+    """Forward against naive_conv2d; dx and dw through the adjoint identity.
+    A geometry that conv2d does not run must be rejected in all three directions."""
+    if not _supported(spec):
+        _expect_rejected(x, w, spec)
+        return
     y = naive_conv2d(x, w, spec)
     np.testing.assert_allclose(T.conv2d(x, w, spec), y, rtol=1e-10, atol=1e-12)
     gout = rng.standard_normal(y.shape)
@@ -240,7 +255,27 @@ def _check_conv(x, w, spec, rng):
 def _with_groups(cases, ids):
     """Each case once per grouping; the depthwise cases keep their plain ids."""
     return [pytest.param(*case, groups, id=(i if groups == "depthwise" else f"{groups}-{i}"))
-            for groups in ("depthwise", "one") for case, i in zip(cases, ids)]
+            for groups in ("depthwise", "one", "two") for case, i in zip(cases, ids)]
+
+
+_PADDING_CASES = [(k, d, p, s) for k in (1, 3, 5) for d in (1, 2)
+                  for p in ((0, 0), (2, 1)) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("kernel, dilation, padding, stride, groups", _with_groups(
+    _PADDING_CASES, [f"{s}-padding{int(p != (0, 0))}-{d}-{k}" for k, d, p, s in _PADDING_CASES]))
+def test_depthwise_explicit_padding(kernel, dilation, padding, stride, groups):
+    # ConvSpec pads only to "same"; a caller wanting more pads x with zeros
+    # first.  13 or 17 rows plus their zero gap make odd plane heights, which
+    # stride 2 rounds up; padding (2, 1) gives zero borders wider than a 1x1
+    # or 3x3 kernel's own padding
+    rng = np.random.default_rng(kernel * 100 + dilation * 10 + stride)
+    c, g = _grid_groups(groups)
+    x = rng.standard_normal((2, c, 13, 10))
+    x = np.pad(x, ((0, 0), (0, 0), (padding[0],) * 2, (padding[1],) * 2))
+    w = rng.standard_normal((c, c // g, kernel, kernel))
+    spec = T.ConvSpec(kernel=(kernel, kernel), dilation=dilation, stride=stride, groups=g)
+    _check_conv(x, w, spec, rng)
 
 
 @pytest.mark.parametrize("size, groups", _with_groups([(1,), (2,), (6,)], ["1", "2", "6"]))
