@@ -16,6 +16,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DataError, DimensionError, NumericError
 
+GRADCHECK_STEP = 1e-5  # central-difference step of gradcheck
+
 
 class Var:
     __slots__ = ("value", "grad", "parents", "_backward", "name")
@@ -225,12 +227,12 @@ def upsample_bilinear(x, out_hw: tuple[int, int]) -> Var:
     return Var(val, (x,), bwd)
 
 
-def standardize(x, eps: float = 1e-5) -> Var:
-    """Zero-mean unit-variance per (sample, channel) over spatial dims."""
+def standardize(x) -> Var:
+    """Zero-mean unit-variance (eps 1e-5) per (sample, channel) over spatial dims."""
     x = as_var(x)
     mu = x.value.mean(axis=(2, 3), keepdims=True)
     var = x.value.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = (x.value - mu) * inv
 
     def bwd(g):
@@ -280,7 +282,6 @@ def cross_entropy(logits, labels: np.ndarray) -> Var:
 class GradReport:
     """Max relative analytic-vs-numeric gradient error per parameter."""
 
-    step: float
     dtype: str
     errors: dict[str, float] = field(default_factory=dict)
 
@@ -292,9 +293,8 @@ class GradReport:
         return all(np.isfinite(e) and e <= tol for e in self.errors.values())
 
 
-def gradcheck(f, params: dict[str, Var], step: float = 1e-5,
-              max_coords: int | None = None, rng: np.random.Generator | None = None,
-              ) -> GradReport:
+def gradcheck(f, params: dict[str, Var], max_coords: int | None = None,
+              rng: np.random.Generator | None = None) -> GradReport:
     """Compare analytic gradients of scalar f() against central differences.
 
     ``f`` must rebuild its graph from the current parameter values on each
@@ -310,7 +310,7 @@ def gradcheck(f, params: dict[str, Var], step: float = 1e-5,
     for name, p in params.items():
         analytic[name] = (p.grad.copy() if p.grad is not None
                           else np.zeros_like(p.value))
-    report = GradReport(step=step, dtype=str(out.value.dtype))
+    report = GradReport(dtype=str(out.value.dtype))
     for name, p in params.items():
         flat = p.value.reshape(-1)
         count = flat.size
@@ -324,14 +324,14 @@ def gradcheck(f, params: dict[str, Var], step: float = 1e-5,
         ana_flat = analytic[name].reshape(-1)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + GRADCHECK_STEP
             fp = float(f().value)
-            flat[idx] = orig - step
+            flat[idx] = orig - GRADCHECK_STEP
             fm = float(f().value)
             flat[idx] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NumericError(f"non-finite perturbation value for parameter {name}")
-            numeric = (fp - fm) / (2.0 * step)
+            numeric = (fp - fm) / (2.0 * GRADCHECK_STEP)
             ana = float(ana_flat[idx])
             rel = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
             worst = max(worst, rel)

@@ -27,7 +27,7 @@ from .errors import ConfigurationError, PdconvError, TrainingDiverged
 from .network import VARIANTS, ToyPdcNet, evaluate, train
 from .pdc import alpha_effective, equivalence_deviation, make_pdc_layer, pdc_forward
 from .pdtio import write_pdt
-from .scenes import SceneConfig, gen_scene, load_dataset, save_dataset
+from .scenes import SceneConfig, load_dataset, save_dataset
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,19 +54,13 @@ def _thread_cap() -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    ops = [args.op] if args.op else list(checks.REGISTRY)
-    for op in ops:
-        if op not in checks.REGISTRY:
-            print(f"unknown op {op!r}; registered ops: {', '.join(checks.REGISTRY)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
     failed = False
-    for op in ops:
+    for op in ([args.op] if args.op else checks.REGISTRY):
         report = checks.run_gradcheck(op, seed=args.seed)
         for name, err in report.errors.items():
             status = "ok" if err <= GRADCHECK_TOL else "FAIL"
             print(f"gradcheck {op:<12s} {name:<24s} rel_err={err:.3e} "
-                  f"h={report.step:g} dtype={report.dtype} {status}")
+                  f"h={ag.GRADCHECK_STEP:g} dtype={report.dtype} {status}")
             failed |= err > GRADCHECK_TOL
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -195,14 +189,12 @@ def _scalar_params(net: ToyPdcNet) -> dict[str, float]:
 def cmd_eval(args) -> int:
     net = ToyPdcNet.load(args.ckpt)
     if args.variant and net.cfg.variant != args.variant:
-        print(f"checkpoint variant is {net.cfg.variant!r}, not {args.variant!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(f"checkpoint variant is {net.cfg.variant!r}, "
+                                 f"not {args.variant!r}")
     manifest, samples = load_dataset(args.data)
     if manifest["classes"] != net.cfg.classes:
-        print(f"dataset has {manifest['classes']} classes, checkpoint {net.cfg.classes}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(f"dataset has {manifest['classes']} classes, "
+                                 f"checkpoint {net.cfg.classes}")
     pix_acc, miou, cm = evaluate(net, samples)
     result = {
         "pixel_acc": round(pix_acc, 6),

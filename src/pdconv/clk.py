@@ -47,9 +47,7 @@ class ClkLayer:
                 f"{prefix}.pw_w": self.pw_w, f"{prefix}.pw_b": self.pw_b}
 
 
-def make_clk_layer(channels: int, rng: np.random.Generator | None = None,
-                   dtype=np.float32) -> ClkLayer:
-    rng = rng if rng is not None else np.random.default_rng(0)
+def make_clk_layer(channels: int, rng: np.random.Generator, dtype=np.float32) -> ClkLayer:
     return ClkLayer(
         w_local=ag.parameter(init_weights(rng, (channels, 1) + LOCAL_KERNEL, dtype)),
         w_long=ag.parameter(init_weights(rng, (channels, 1) + LONG_KERNEL, dtype)),
@@ -87,10 +85,6 @@ class CpdcLayer:
     gate_w: ag.Var | None = None
     gate_b: ag.Var | None = None
 
-    @property
-    def channels(self) -> int:
-        return self.stage_local.channels
-
     def parameters(self, prefix: str = "cpdc") -> dict[str, ag.Var]:
         params = {}
         params.update(self.stage_local.parameters(f"{prefix}.local"))
@@ -101,10 +95,9 @@ class CpdcLayer:
         return params
 
 
-def make_cpdc_layer(channels: int, rng: np.random.Generator | None = None,
-                    dtype=np.float32, alpha_init: float = 0.0,
-                    alpha_fixed: float | None = None, with_gate: bool = True) -> CpdcLayer:
-    rng = rng if rng is not None else np.random.default_rng(0)
+def make_cpdc_layer(channels: int, rng: np.random.Generator, dtype=np.float32,
+                    alpha_init: float = 0.0, alpha_fixed: float | None = None,
+                    with_gate: bool = True) -> CpdcLayer:
     stage_local = make_pdc_layer(channels, LOCAL_KERNEL, LOCAL_DILATION, rng=rng,
                                  dtype=dtype, alpha_init=alpha_init,
                                  alpha_fixed=alpha_fixed, with_gate=False)
@@ -120,8 +113,6 @@ def make_cpdc_layer(channels: int, rng: np.random.Generator | None = None,
 
 def cpdc_raw(x, layer: CpdcLayer) -> ag.Var:
     """Composed difference-conv feature before gating."""
-    x = ag.as_var(x)
-    _check_channels(x, layer.channels)
     return pdc_forward(pdc_forward(x, layer.stage_local), layer.stage_long)
 
 
@@ -142,7 +133,6 @@ class SupportMap:
     """Pixel-usage counts around one output location."""
 
     counts: np.ndarray  # 2-D int array, odd side lengths, centered
-    mode: str
 
     @property
     def extent(self) -> tuple[int, int]:
@@ -205,9 +195,7 @@ def receptive_field(mode: str) -> SupportMap:
     """
     analytic = analytic_support(mode)  # also validates the mode
     half = max(analytic.shape) // 2
-    size = 2 * half + 1 + 8  # margin so padding never clips the support
-    if size % 2 == 0:
-        size += 1
+    size = 2 * half + 1 + 8  # odd, with a margin so padding never clips the support
     x = ag.parameter(np.zeros((1, 1, size, size), dtype=np.float64))
     ones5 = ag.Var(np.ones((1, 1) + LOCAL_KERNEL, dtype=np.float64))
     ones7 = ag.Var(np.ones((1, 1) + LONG_KERNEL, dtype=np.float64))
@@ -226,7 +214,7 @@ def receptive_field(mode: str) -> SupportMap:
     loss = ag.vsum(ag.mul(y, ag.Var(impulse)))
     ag.backward(loss)
     counts = np.rint(np.abs(x.grad[0, 0])).astype(np.int64)
-    return SupportMap(_crop_to_support(counts), mode)
+    return SupportMap(_crop_to_support(counts))
 
 
 # --- cost accounting ------------------------------------------------------
@@ -243,10 +231,10 @@ def clk_flops(channels: int, spatial: tuple[int, int],
     return total
 
 
-def large_kernel_flops(channels: int, spatial: tuple[int, int], size: int = 21,
+def large_kernel_flops(channels: int, spatial: tuple[int, int],
                        include_pointwise: bool = True) -> int:
-    """MAC count for one depthwise size x size kernel (plus 1x1 mix)."""
-    total = T.flop_count(T.depthwise_spec(channels, (size, size), 1),
+    """MAC count for one depthwise 21x21 kernel (plus 1x1 mix)."""
+    total = T.flop_count(T.depthwise_spec(channels, (21, 21), 1),
                          channels, channels, spatial)
     if include_pointwise:
         total += T.flop_count(T.pointwise_spec(), channels, channels, spatial)

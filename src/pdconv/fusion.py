@@ -28,10 +28,6 @@ class EcfLayer:
     gate_depth_w: ag.Var
     gate_depth_b: ag.Var
 
-    @property
-    def channels(self) -> int:
-        return self.gate_rgb_w.value.shape[0]
-
     def parameters(self, prefix: str = "ecf") -> dict[str, ag.Var]:
         return {
             f"{prefix}.eta": self.eta,
@@ -43,9 +39,7 @@ class EcfLayer:
         }
 
 
-def make_ecf_layer(channels: int, rng: np.random.Generator | None = None,
-                   dtype=np.float32) -> EcfLayer:
-    rng = rng if rng is not None else np.random.default_rng(0)
+def make_ecf_layer(channels: int, rng: np.random.Generator, dtype=np.float32) -> EcfLayer:
     return EcfLayer(
         eta=ag.parameter(np.asarray(0.5, dtype=dtype)),
         lam=ag.parameter(np.asarray(0.5, dtype=dtype)),

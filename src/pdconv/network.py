@@ -25,9 +25,9 @@ from . import autograd as ag
 from . import tensor as T
 from .clk import CpdcLayer, cpdc_raw, make_cpdc_layer
 from .errors import ConfigurationError, FormatError, TrainingDiverged
-from .fusion import EcfLayer, ecf_fuse, make_ecf_layer
+from .fusion import ecf_fuse, make_ecf_layer
 from .metrics import ConfusionMatrix
-from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
+from .pdc import init_weights, make_pdc_layer, pdc_forward
 from .pdtio import load_into, read_checkpoint, write_checkpoint
 from .scenes import SegSample
 
@@ -69,10 +69,10 @@ class ConvUnit:
                 f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
 
-def make_conv_unit(c_in, c_out, rng, dtype, kernel=(3, 3), stride=1) -> ConvUnit:
-    spec = T.ConvSpec(kernel=kernel, stride=stride)
+def make_conv_unit(c_in, c_out, rng, dtype, stride=1) -> ConvUnit:
+    spec = T.ConvSpec(kernel=(3, 3), stride=stride)
     return ConvUnit(
-        w=ag.parameter(init_weights(rng, (c_out, c_in) + kernel, dtype)),
+        w=ag.parameter(init_weights(rng, (c_out, c_in, 3, 3), dtype)),
         gamma=ag.parameter(np.ones((1, c_out, 1, 1), dtype=dtype)),
         beta=ag.parameter(np.zeros((1, c_out, 1, 1), dtype=dtype)),
         spec=spec,
@@ -129,9 +129,7 @@ class NetConfig:
 
 
 class ToyPdcNet:
-    def __init__(self, cfg: NetConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, cfg: NetConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
         ch = cfg.channels
@@ -253,7 +251,7 @@ class ToyPdcNet:
         write_checkpoint(path, self.state_dict())
 
     @classmethod
-    def load(cls, path: str, dtype=np.float32) -> "ToyPdcNet":
+    def load(cls, path: str) -> "ToyPdcNet":
         saved = read_checkpoint(path)
         meta = {k: saved.pop(k) for k in list(saved) if k.startswith("meta.")}
 
@@ -285,7 +283,7 @@ class ToyPdcNet:
             )
         except ConfigurationError as e:  # NetConfig's message names the key
             raise FormatError(f"checkpoint {path}: 'meta.*' value out of range: {e}") from None
-        net = cls(cfg, dtype=dtype)
+        net = cls(cfg, np.random.default_rng(0))  # every drawn value is overwritten below
         load_into({name: p.value for name, p in net.parameters().items()}, saved)
         return net
 
@@ -309,6 +307,8 @@ def make_batch(samples: list[SegSample], dtype=np.float32):
 
 def evaluate(net: ToyPdcNet, samples: list[SegSample], batch_size: int = 16,
              ) -> tuple[float, float, ConfusionMatrix]:
+    if not samples:
+        raise ConfigurationError("nothing to evaluate: the dataset holds no samples")
     m = net.cfg.classes
     cm = ConfusionMatrix(np.zeros((m, m), dtype=np.int64))
     for start in range(0, len(samples), batch_size):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .errors import ConfigurationError, FormatError
 from .pdtio import read_pdt, write_pdt
 
 DEPTH_PAIR = (1, 2)  # (base region, offset region) of the depth-only pair
+# extra shapes per scene, one band each in the right strip
+MIN_EXTRA_SHAPES, MAX_EXTRA_SHAPES = 1, 4
 
 
 @dataclass
@@ -25,8 +27,6 @@ class SceneConfig:
     height: int = 48
     width: int = 48
     classes: int = 5
-    min_extra_shapes: int = 1
-    max_extra_shapes: int = 4
     rgb_noise: float = 0.02
     depth_noise: float = 0.02
     depth_gap: tuple[float, float] = (0.25, 0.35)
@@ -42,17 +42,15 @@ class SceneConfig:
             raise ConfigurationError(
                 f"canvas {self.height}x{self.width} too small to fit shapes (min 16x16)"
             )
-        if self.min_extra_shapes < 1 or self.max_extra_shapes < self.min_extra_shapes:
-            raise ConfigurationError("invalid shape-count range")
-        needed = max(self.classes - 3, 1)
+        needed = max(self.classes - 3, MIN_EXTRA_SHAPES)
         strip = self.width - int(self.width * 0.55)
-        if strip // max(needed, self.min_extra_shapes) < 4:
+        if strip // needed < 4:
             raise ConfigurationError(
                 f"canvas width {self.width} cannot fit {needed} extra shape bands"
             )
-        if self.max_extra_shapes < needed:
+        if MAX_EXTRA_SHAPES < needed:
             raise ConfigurationError(
-                f"max_extra_shapes={self.max_extra_shapes} cannot cover classes 3..{self.classes - 1}"
+                f"{MAX_EXTRA_SHAPES} extra shapes cannot cover classes 3..{self.classes - 1}"
             )
         if self.depth_gap[0] < 0.2:
             raise ConfigurationError("depth gap must be at least 0.2")
@@ -138,8 +136,8 @@ def gen_scene(seed: int, cfg: SceneConfig) -> SegSample:
 
     # extra shapes in the right strip, one band per shape, classes cycling
     extra_classes = list(range(3, m))
-    n_extra = int(rng.integers(max(cfg.min_extra_shapes, len(extra_classes)),
-                               max(cfg.max_extra_shapes, len(extra_classes)) + 1))
+    n_extra = int(rng.integers(max(MIN_EXTRA_SHAPES, len(extra_classes)),
+                               max(MAX_EXTRA_SHAPES, len(extra_classes)) + 1))
     band_w = (w - strip_x) // n_extra
     for k in range(n_extra):
         if extra_classes:
@@ -215,7 +213,7 @@ def _check_sample(path: str, arr: np.ndarray, shape: tuple[int, ...], kind: type
 
 
 def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
-    """Read a dataset directory; a malformed manifest or sample is a FormatError."""
+    """Read a dataset directory; a malformed manifest, sample or label is a FormatError."""
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -235,7 +233,9 @@ def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise FormatError(f"{path}: manifest key '{key}' must be a non-negative "
                               f"integer, got {value!r}")
-    h, w = manifest["height"], manifest["width"]
+    h, w, classes = manifest["height"], manifest["width"], manifest["classes"]
+    if classes < 2:
+        raise FormatError(f"{path}: manifest key 'classes' must be at least 2, got {classes}")
     samples = []
     for i in range(manifest["count"]):
         stem = os.path.join(directory, f"scene_{i:05d}")
@@ -245,5 +245,10 @@ def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
                                     (".label.pdt", (h, w), np.integer)):
             arrays.append(read_pdt(stem + suffix))
             _check_sample(stem + suffix, arrays[-1], shape, kind)
+        labels = arrays[-1]
+        outside = labels[(labels < 0) | (labels >= classes)]
+        if outside.size:
+            raise FormatError(f"{stem}.label.pdt: label {int(outside[0])} out of range "
+                              f"[0,{classes})")
         samples.append(SegSample(*arrays))
     return manifest, samples

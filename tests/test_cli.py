@@ -52,9 +52,9 @@ class TestGradcheckCommand:
         assert any("alpha" in l for l in lines)
 
     def test_unknown_op_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "gradcheck", "--op", "nonsense")
-        assert code == 2
-        assert "unknown op" in err
+        code, out, err = run(capsys, "gradcheck", "--op", "nonsense")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown op 'nonsense'")
 
 
 class TestEquivalenceCommand:
@@ -176,9 +176,24 @@ class TestTrainEvalFlow:
                          "--data", small_dataset, "--out", ckpt,
                          "--variant", "vanilla-baseline")
         assert code == 0
-        code, _, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset,
-                           "--variant", "full")
-        assert code == 2 and "variant" in err
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset,
+                             "--variant", "full")
+        assert code == 2 and out == ""
+        assert err.startswith("error: checkpoint variant is 'vanilla-baseline', not 'full'")
+
+    @pytest.mark.parametrize("gen_args, named", [
+        (("--count", "0"), "error: nothing to evaluate"),
+        (("--count", "1", "--classes", "4"), "error: dataset has 4 classes, checkpoint 5"),
+    ], ids=["empty", "4 classes"])
+    def test_eval_on_unusable_dataset_is_usage_error(self, gen_args, named, tmp_path, capsys):
+        data_dir = str(tmp_path / "data")
+        assert run(capsys, "gen", "--out", data_dir, "--seed", "0", *gen_args)[0] == 0
+        ckpt = str(tmp_path / "net.pdck")
+        cfg = NetConfig(classes=5, channels=(4, 6), blocks_per_stage=1, decoder_channels=8)
+        ToyPdcNet(cfg, rng=np.random.default_rng(0)).save(ckpt)
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data_dir)
+        assert code == 2 and out == ""
+        assert err.startswith(named) and "Traceback" not in err
 
     def test_training_seed_points_at_top_level_seed(self, small_dataset, tmp_path, capsys):
         # cmd_train always seeds from the top-level seed, so training.seed is refused
@@ -342,10 +357,12 @@ def _rewrite_manifest(data_dir, change):
         json.dump(manifest, f)
 
 
-def _one_nan(a):
-    a = a.copy()
-    a.flat[0] = np.nan
-    return a
+def _first_set_to(value):
+    def change(a):
+        a = a.copy()
+        a.flat[0] = value
+        return a
+    return change
 
 
 def _write_text(data_dir, name, text):
@@ -369,8 +386,12 @@ DAMAGED_DATASETS = {
                           "manifest.json is not a JSON manifest"),
     "float labels": (lambda d: _rewrite_sample(d, "label", lambda a: a.astype(np.float32)),
                      "of integer dtype, found shape (24, 24) of dtype float32"),
-    "nan depth": (lambda d: _rewrite_sample(d, "depth", _one_nan),
+    "nan depth": (lambda d: _rewrite_sample(d, "depth", _first_set_to(np.nan)),
                   "scene_00000.depth.pdt holds non-finite values"),
+    "label 7 of 3 classes": (lambda d: _rewrite_sample(d, "label", _first_set_to(7)),
+                             "scene_00000.label.pdt: label 7 out of range [0,3)"),
+    "classes 1": (lambda d: _rewrite_manifest(d, lambda m: m.update(classes=1)),
+                  "manifest.json: manifest key 'classes' must be at least 2, got 1"),
 }
 
 

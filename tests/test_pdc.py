@@ -3,7 +3,7 @@ import pytest
 
 from pdconv import autograd as ag
 from pdconv import tensor as T
-from pdconv.errors import DimensionError
+from pdconv.errors import ConfigurationError, DimensionError
 from pdconv.pdc import (alpha_effective, equivalence_deviation, make_pdc_layer,
                         pdc_forward, pdc_gated)
 
@@ -77,6 +77,13 @@ def test_channel_mismatch():
     layer = make_pdc_layer(2, rng=np.random.default_rng(5))
     with pytest.raises(DimensionError):
         pdc_forward(np.ones((1, 3, 6, 6), dtype=np.float32), layer)
+
+
+def test_unknown_mode_set_after_construction_is_refused():
+    layer = make_pdc_layer(2, rng=np.random.default_rng(5))
+    layer.mode = "bogus"
+    with pytest.raises(ConfigurationError, match="'bogus'"):
+        pdc_forward(np.ones((1, 2, 6, 6), dtype=np.float32), layer)
 
 
 class TestGated:
