@@ -300,8 +300,10 @@ def gradcheck(f, params: dict[str, Var], max_coords: int | None = None,
     ``f`` must rebuild its graph from the current parameter values on each
     call.  Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
     When ``max_coords`` is set, at most that many coordinates per parameter
-    are probed (sampled with ``rng``).
+    are probed, sampled with ``rng``, which must then be given.
     """
+    if max_coords is not None and rng is None:
+        raise ContractError("gradcheck with max_coords needs an rng to sample coordinates")
     out = f()
     if not np.all(np.isfinite(out.value)):
         raise NumericError(f"non-finite forward value in gradcheck of {f!r}")
@@ -315,8 +317,6 @@ def gradcheck(f, params: dict[str, Var], max_coords: int | None = None,
         flat = p.value.reshape(-1)
         count = flat.size
         if max_coords is not None and count > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
             coords = rng.choice(count, size=max_coords, replace=False)
         else:
             coords = range(count)

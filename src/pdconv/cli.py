@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from . import MALLOC
 from . import autograd as ag
 from . import checks
 from . import tensor as T
@@ -96,7 +97,7 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     c = args.channels
     rng = np.random.default_rng(args.seed)
-    print(f"bench channels={c} threads={threads}")
+    print(f"bench channels={c} threads={threads} malloc={MALLOC}")
     header = f"{'op':<10s} {'size':>5s} {'MACs':>12s} {'ms':>9s} {'GMAC/s':>8s}"
     print(header)
     for size in sizes:

@@ -84,6 +84,12 @@ def test_gradcheck_identity_zero_error():
     assert report.errors["x"] <= 1e-10
 
 
+def test_gradcheck_sampling_without_rng_is_refused():
+    x = ag.parameter(np.random.default_rng(5).standard_normal((1, 1, 3, 3)))
+    with pytest.raises(ContractError, match="rng"):
+        ag.gradcheck(lambda: ag.vsum(x), {"x": x}, max_coords=4)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_gradcheck_random_composites(seed):
     rng = np.random.default_rng(seed)

@@ -1,10 +1,12 @@
 import json
 import os
+import platform
 import sys
 
 import numpy as np
 import pytest
 
+import pdconv
 from pdconv.cli import main
 from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
@@ -103,7 +105,10 @@ def test_bench_header_says_when_thread_cap_is_ignored(capsys, monkeypatch):
                        "--reps", "1")
     assert code == 0
     assert out.splitlines()[0] == ("bench channels=2 "
-                                   "threads=4 (ignored: threadpoolctl not installed)")
+                                   "threads=4 (ignored: threadpoolctl not installed) "
+                                   f"malloc={pdconv.MALLOC}")
+    if platform.libc_ver()[0] == "glibc":
+        assert pdconv.MALLOC == "fixed"
 
 
 class TestGenCommand:

@@ -1,6 +1,12 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pdconv
 from pdconv.errors import ConfigurationError, DataError, FormatError, TrainingDiverged
 from pdconv.metrics import ConfusionMatrix, metrics
 from pdconv.network import (NetConfig, SgdState, ToyPdcNet, TrainConfig,
@@ -282,6 +288,28 @@ class TestNetwork:
         want_acc, want_miou, _ = metrics(preds, labels, 3)
         assert pix_acc == pytest.approx(want_acc)
         assert miou == pytest.approx(want_miou)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are set on glibc only")
+    def test_repeated_evaluate_does_not_fault_memory_back_in(self):
+        # A fresh process, so the heap starts as a user's does.  The second
+        # pass runs 3 batches of 16 on a heap the first pass has grown; with
+        # glibc's default thresholds each batch faults ~8K pages back in.
+        probe = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from pdconv import network, scenes\n"
+            "net = network.ToyPdcNet(network.NetConfig(), rng=np.random.default_rng(0))\n"
+            "samples = [scenes.gen_scene(i, scenes.SceneConfig()) for i in range(48)]\n"
+            "network.evaluate(net, samples)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "network.evaluate(net, samples)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = os.path.dirname(os.path.dirname(pdconv.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) / 3 < 300
 
 
 # --- training ------------------------------------------------------------------
