@@ -169,6 +169,9 @@ def reduce_to_channel(w: Var) -> Var:
 # --- convolution ---------------------------------------------------------
 
 def conv(x, w, spec: T.ConvSpec, bias: Var | None = None) -> Var:
+    """Conv of x by w; an operand passed as a plain array is a constant, so
+    backward computes no gradient for it (the network's input images)."""
+    need_gx, need_gw = isinstance(x, Var), isinstance(w, Var)
     x, w = as_var(x), as_var(w)
     # bias passed positionally: a tracing wrapper of conv2d may take only
     # (x, w, spec, *rest)
@@ -176,8 +179,8 @@ def conv(x, w, spec: T.ConvSpec, bias: Var | None = None) -> Var:
     parents = (x, w) if bias is None else (x, w, bias)
 
     def bwd(g):
-        gx = T.conv2d_input_grad(g, w.value, spec, x.value.shape)
-        gw = T.conv2d_weight_grad(g, x.value, spec, w.value.shape)
+        gx = T.conv2d_input_grad(g, w.value, spec, x.value.shape) if need_gx else None
+        gw = T.conv2d_weight_grad(g, x.value, spec, w.value.shape) if need_gw else None
         if bias is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 2, 3)))

@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("equivalence", help="cross-check the two blend formulations")
+    p = sub.add_parser("equivalence",
+                       help="cross-check PDC's rewritten form (one conv on the folded "
+                            "kernel) against its definitional two-term form")
     p.add_argument("--seeds", type=int, default=200)
     p.add_argument("--dtype", choices=["f32", "f64"], default="f32")
     p.set_defaults(fn=cmd_equivalence)

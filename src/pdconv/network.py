@@ -210,8 +210,8 @@ class ToyPdcNet:
         return pdc_forward(x, layer)
 
     def forward(self, rgb, depth) -> ag.Var:
-        rgb, depth = ag.as_var(rgb), ag.as_var(depth)
-        n, _, h, w = rgb.value.shape
+        # plain image arrays reach the stem convs as constants: no input gradient
+        n, _, h, w = rgb.shape
         xr = self.stem_rgb(rgb)
         xd = self.stem_depth(depth)
         fused_maps = []

@@ -3,10 +3,12 @@ learnable mixing coefficient and an optional channel gate.
 
 The blend coefficient has two parameterizations: a stored real squashed to
 (0,1) through a logistic (the learnable mode) and a fixed-value bypass used
-for ablation sweeps.  The production path is the rewritten form, one
-depthwise conv minus a center product, conv(x, w) - alpha * x * sum(w); the
-definitional two-term form is kept as its cross-check oracle.  A layer's
-``mode`` picks the form and may be reassigned, so pdc_forward checks it.
+for ablation sweeps.  The production path is the rewritten form
+conv(x, w) - alpha * x * sum(w), run as one depthwise conv on a folded
+kernel: with "same" padding the center tap reads x itself, so the form
+equals conv(x, w - alpha * sum(w) * delta_center).  The definitional
+two-term form is kept as its cross-check oracle.  A layer's ``mode`` picks
+the form and may be reassigned, so pdc_forward checks it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,29 @@ def _check_channels(x: ag.Var, channels: int) -> None:
         raise DimensionError(f"input axis C is {x.value.shape[1]}, layer expects {channels}")
 
 
+def _fold_center(w: ag.Var, a: ag.Var) -> ag.Var:
+    """The kernel w - a * sum(w) * delta_center of a depthwise weight
+    (C, 1, kh, kw) and a scalar a, with sum(w) taken per channel."""
+    c, _, kh, kw = w.value.shape
+    ci, cj = kh // 2, kw // 2
+    sums = w.value.sum(axis=(1, 2, 3))
+    folded = w.value.copy()
+    folded[:, 0, ci, cj] -= a.value * sums
+
+    def bwd(g):
+        g_center = g[:, 0, ci, cj]
+        gw = g - (a.value * g_center).reshape(c, 1, 1, 1)
+        ga = -np.sum(g_center * sums)
+        return gw, np.asarray(ga, dtype=a.value.dtype).reshape(a.value.shape)
+
+    return ag.Var(folded, (w, a), bwd)
+
+
 def pdc_forward(x, layer: PdcLayer) -> ag.Var:
     """Blended pixel-difference convolution (pre-gate feature).
 
-    rewritten mode:     conv(x, w) - alpha * x * sum(w)
+    rewritten mode:     conv(x, w) - alpha * x * sum(w),
+                        run as conv(x, w - alpha * sum(w) * delta_center)
     definitional mode:  alpha * (conv(x, w) - x * sum(w)) + (1 - alpha) * conv(x, w)
 
     The two are algebraically identical; keeping both makes them mutual
@@ -94,10 +115,10 @@ def pdc_forward(x, layer: PdcLayer) -> ag.Var:
     x = ag.as_var(x)
     _check_channels(x, layer.channels)
     a = alpha_effective(layer)
+    if layer.mode == "rewritten":
+        return ag.conv(x, _fold_center(layer.weights, a), layer.spec)
     conv_term = ag.conv(x, layer.weights, layer.spec)
     center_term = ag.mul(x, ag.reduce_to_channel(layer.weights))
-    if layer.mode == "rewritten":
-        return ag.sub(conv_term, ag.mul(center_term, a))
     diff_term = ag.sub(conv_term, center_term)
     one = ag.Var(np.asarray(1.0, dtype=x.value.dtype))
     return ag.add(ag.mul(diff_term, a), ag.mul(conv_term, ag.sub(one, a)))

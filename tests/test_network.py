@@ -273,6 +273,31 @@ class TestNetwork:
         for name, p in params.items():
             assert p.grad.tobytes() == first[name], name
 
+    def test_train_step_skips_input_grad_of_the_images(self, monkeypatch):
+        # plain image arrays are constants: the two stem convs compute no
+        # input gradient, and every parameter gradient stays the same
+        net = ToyPdcNet(NetConfig(), rng=np.random.default_rng(6))
+        _, (rgb, depth, labels) = small_batch(n=8, cfg=SceneConfig())
+        params = net.parameters()
+        calls = []
+        real = pdconv.tensor.conv2d_input_grad
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(pdconv.tensor, "conv2d_input_grad", counted)
+
+        def step(r, d):
+            calls.clear()
+            ag.backward(ag.cross_entropy(net.forward(r, d), labels))
+            return len(calls), {name: p.grad.tobytes() for name, p in params.items()}
+
+        wrapped_calls, wrapped_grads = step(ag.Var(rgb), ag.Var(depth))
+        plain_calls, plain_grads = step(rgb, depth)
+        assert wrapped_calls - plain_calls == 2
+        assert plain_grads == wrapped_grads
+
     def test_normalize_depth(self):
         d = np.array([[[1.0, 3.0], [2.0, 5.0]]])
         out = normalize_depth(d)

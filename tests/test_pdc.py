@@ -7,6 +7,11 @@ from pdconv.errors import ConfigurationError, DimensionError
 from pdconv.pdc import (alpha_effective, equivalence_deviation, make_pdc_layer,
                         pdc_forward, pdc_gated)
 
+from naive import naive_conv2d
+
+FOLD_KERNELS = (((5, 5), 1), ((7, 7), 3), ((3, 3), 2))
+FOLD_PLANES = ((1, 1), (2, 3), (6, 6), (13, 10))
+
 
 def fixed_alpha_layer(channels, alpha, rng, dtype=np.float64, **kw):
     return make_pdc_layer(channels, rng=rng, dtype=dtype, alpha_fixed=alpha, **kw)
@@ -47,6 +52,72 @@ def test_modes_are_mutual_oracles():
 def test_equivalence_sweep_200_instances():
     assert equivalence_deviation(200, dtype=np.float32) <= 1e-6
     assert equivalence_deviation(200, dtype=np.float64) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel,dilation", FOLD_KERNELS)
+@pytest.mark.parametrize("channels", (1, 4))
+@pytest.mark.parametrize("plane", FOLD_PLANES)
+def test_rewritten_matches_center_product(kernel, dilation, channels, plane):
+    # third member of the cross-check: the unfolded center-product form,
+    # conv(x, w) - alpha * x * sum(w), in plain numpy on the loop oracle
+    for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+        rng = np.random.default_rng([channels, *plane, *kernel, dilation])
+        layer = make_pdc_layer(channels, kernel, dilation, rng=rng, dtype=dtype,
+                               alpha_init=float(rng.normal()), with_gate=False)
+        x = rng.standard_normal((2, channels) + plane).astype(dtype)
+        x64, w = x.astype(np.float64), layer.weights.value.astype(np.float64)
+        a = float(alpha_effective(layer).value)
+        ref = (naive_conv2d(x64, w, layer.spec)
+               - a * x64 * w.sum(axis=(1, 2, 3)).reshape(1, channels, 1, 1))
+        layer.mode = "rewritten"
+        y = pdc_forward(x, layer).value
+        assert y.dtype == dtype
+        denom = max(np.max(np.abs(ref)), 1e-8)
+        assert np.max(np.abs(y - ref)) / denom <= tol
+        layer.mode = "definitional"
+        assert np.max(np.abs(pdc_forward(x, layer).value - ref)) / denom <= tol
+
+
+def test_rewritten_tape_holds_no_full_size_intermediate():
+    # the fold runs one conv: x and the output are the only arrays of x's shape
+    rng = np.random.default_rng(11)
+    layer = make_pdc_layer(3, (7, 7), 3, rng=rng, dtype=np.float64, with_gate=False)
+    x = ag.parameter(rng.standard_normal((2, 3, 9, 9)))
+    y = pdc_forward(x, layer)
+    nodes, stack = {}, [y]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.parents)
+    full = {i for i, node in nodes.items() if node.value.shape == x.shape}
+    assert full == {id(x), id(y)}
+
+
+@pytest.mark.parametrize("alpha_fixed", (None, 0.3))
+@pytest.mark.parametrize("kernel,dilation", FOLD_KERNELS)
+def test_mode_gradients_agree(alpha_fixed, kernel, dilation):
+    rng = np.random.default_rng(12)
+    layer = make_pdc_layer(4, kernel, dilation, rng=rng, dtype=np.float64,
+                           alpha_init=float(rng.normal()), alpha_fixed=alpha_fixed,
+                           with_gate=False)
+    x = ag.parameter(rng.standard_normal((2, 4, 6, 7)))
+    mask = ag.Var(rng.standard_normal(x.shape))
+    grads = {}
+    for mode in ("rewritten", "definitional"):
+        layer.mode = mode
+        ag.backward(ag.vsum(ag.mul(pdc_forward(x, layer), mask)))
+        grads[mode] = (x.grad, layer.weights.grad, layer.alpha_raw.grad)
+    (gx, gw, ga), (want_gx, want_gw, want_ga) = grads["rewritten"], grads["definitional"]
+    pairs = [(gx, want_gx), (gw, want_gw)]
+    if alpha_fixed is None:
+        pairs.append((ga, want_ga))
+    else:
+        # a fixed alpha bypasses alpha_raw, which gets no gradient in either form
+        assert ga is None and want_ga is None
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1.0)
 
 
 def test_output_affine_in_alpha():
