@@ -4,6 +4,8 @@ A Var wraps a numpy value plus the backward rule that produced it.  Graphs
 are built eagerly by the op functions below and differentiated by
 ``backward``; gradients accumulate additively across fan-out and the
 traversal order is fixed, so repeated backward passes are bit-identical.
+Gradients persist on leaves only (parameters and inputs, the Vars with no
+backward rule); an interior node's gradient is freed once its rule has run.
 """
 
 from __future__ import annotations
@@ -69,7 +71,12 @@ def _topo(root: Var) -> list[Var]:
 
 
 def backward(root: Var) -> None:
-    """Populate .grad on every node reachable from a scalar-valued root."""
+    """Populate .grad on every leaf reachable from a scalar-valued root.
+
+    An interior node's .grad is set to None as soon as its backward rule has
+    consumed it.  Accumulation stays out of place: a rule may hand the same
+    array to several parents (``add`` does), so ``+=`` would corrupt them.
+    """
     if root.value.size != 1:
         raise ContractError(f"backward requires a scalar root, got shape {root.value.shape}")
     order = _topo(root)
@@ -80,6 +87,7 @@ def backward(root: Var) -> None:
         if node.grad is None or node._backward is None:
             continue
         grads = node._backward(node.grad)
+        node.grad = None
         for parent, g in zip(node.parents, grads):
             if g is None:
                 continue

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from . import autograd as ag
 from . import tensor as T
@@ -174,7 +173,10 @@ def analytic_support(mode: str) -> np.ndarray:
     if mode == "single7d3":
         return ind7
     if mode in ("cascade", "cpdc"):
-        return convolve2d(ind5, ind7, mode="full")
+        full = np.zeros(np.add(ind5.shape, ind7.shape) - 1, dtype=np.int64)
+        for (i, j), v in np.ndenumerate(ind5):
+            full[i : i + ind7.shape[0], j : j + ind7.shape[1]] += v * ind7
+        return full
     if mode == "parallel":
         return _embed_center(ind5, ind7.shape) + ind7
     raise ConfigurationError(f"unknown receptive-field mode {mode!r}; choose from {RF_MODES}")

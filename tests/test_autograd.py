@@ -63,6 +63,24 @@ def test_backward_deterministic_bit_identical():
     assert gw1.tobytes() == w.grad.tobytes()
 
 
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    rng = np.random.default_rng(5)
+    x = ag.parameter(rng.standard_normal((2, 3, 6, 6)))
+    w = ag.parameter(rng.standard_normal((3, 1, 3, 3)))
+    c = ag.Var(rng.standard_normal((1, 3, 1, 1)))  # a constant leaf
+    y = ag.conv(x, w, T.depthwise_spec(3, (3, 3), 1))
+    z = ag.add(ag.mul(y, c), y)  # y fans out to mul and add
+    loss = ag.vsum(ag.mul(z, ag.add(x, z)))  # so do x and z
+    leaves, interior = (x, w, c), (y, z, loss)
+    ag.backward(loss)
+    assert all(node.grad is None for node in interior)
+    assert all(node.grad is not None for node in leaves)
+    first = [node.grad.tobytes() for node in leaves]
+    ag.backward(loss)
+    assert all(node.grad is None for node in interior)
+    assert [node.grad.tobytes() for node in leaves] == first
+
+
 def test_conv_weight_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     x = ag.parameter(rng.standard_normal((1, 2, 5, 5)))

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import subprocess
 import sys
 
 import numpy as np
@@ -43,6 +44,17 @@ def config_path(tmp_path):
     with open(path, "w") as f:
         json.dump(SMALL_CONFIG, f)
     return path
+
+
+def test_import_loads_no_scipy():
+    # a fresh process, so no other test's imports count
+    probe = ("import sys\nimport pdconv, pdconv.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(pdconv.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGradcheckCommand:

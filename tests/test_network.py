@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -376,6 +377,25 @@ class TestTraining:
         assert [r["loss"] for r in h1] == [r["loss"] for r in h2]
         assert h1[-1]["loss"] < h1[0]["loss"]
         assert len(h1) == 3 and h1[-1]["iter"] == 6
+
+    def test_previous_step_tape_is_freed_before_next_forward(self, monkeypatch):
+        samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(7)]
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(5))
+        forward = net.forward
+        previous = []  # weakref to the last step's logits array; Var has no __weakref__
+        alive = []
+
+        def probe(rgb, depth):
+            if previous:
+                alive.append(previous[-1]() is not None)
+            logits = forward(rgb, depth)
+            previous.append(weakref.ref(logits.value))
+            return logits
+
+        monkeypatch.setattr(net, "forward", probe)
+        train(net, samples[:6], samples[6:], TrainConfig(epochs=2, batch_size=2, seed=0))
+        # 3 steps and 1 validation forward per epoch: 8 forward passes
+        assert alive == [False] * 7
 
     @pytest.mark.parametrize("bad", [
         {"lr": 0.0}, {"lr": float("nan")}, {"epochs": 0}, {"batch_size": 0},
