@@ -19,17 +19,17 @@ from . import tensor as T
 from .errors import ContractError, DataError, DimensionError, NumericError
 
 GRADCHECK_STEP = 1e-5  # central-difference step of gradcheck
+GRADCHECK_TOL = 1e-4  # largest relative error a gradcheck passes with
 
 
 class Var:
-    __slots__ = ("value", "grad", "parents", "_backward", "name")
+    __slots__ = ("value", "grad", "parents", "_backward")
 
-    def __init__(self, value, parents=(), backward=None, name=None):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value)
         self.grad = None
         self.parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -40,15 +40,15 @@ class Var:
         return self.value.dtype
 
     def __repr__(self):
-        return f"Var(shape={self.value.shape}, dtype={self.value.dtype}, name={self.name})"
+        return f"Var(shape={self.value.shape}, dtype={self.value.dtype})"
 
 
 def as_var(x) -> Var:
     return x if isinstance(x, Var) else Var(np.asarray(x))
 
 
-def parameter(value, name=None) -> Var:
-    return Var(np.asarray(value), name=name)
+def parameter(value) -> Var:
+    return Var(np.asarray(value))
 
 
 def _topo(root: Var) -> list[Var]:
@@ -300,7 +300,7 @@ class GradReport:
     def max_error(self) -> float:
         return max(self.errors.values()) if self.errors else 0.0
 
-    def passed(self, tol: float = 1e-4) -> bool:
+    def passed(self, tol: float = GRADCHECK_TOL) -> bool:
         return all(np.isfinite(e) and e <= tol for e in self.errors.values())
 
 

@@ -22,23 +22,23 @@ def _rand(rng, shape):
 
 
 def _build_conv2d(rng):
-    x = ag.parameter(_rand(rng, (1, 2, 6, 6)), "x")
-    w = ag.parameter(_rand(rng, (3, 2, 3, 3)), "w")
+    x = ag.parameter(_rand(rng, (1, 2, 6, 6)))
+    w = ag.parameter(_rand(rng, (3, 2, 3, 3)))
     spec = T.ConvSpec(kernel=(3, 3), dilation=2)
     return (lambda: ag.vsum(ag.mul(ag.conv(x, w, spec), ag.conv(x, w, spec))),
             {"x": x, "w": w})
 
 
 def _build_pointwise(rng):
-    x = ag.parameter(_rand(rng, (1, 3, 5, 5)), "x")
-    w = ag.parameter(_rand(rng, (2, 3, 1, 1)), "w")
-    b = ag.parameter(_rand(rng, (2,)), "b")
+    x = ag.parameter(_rand(rng, (1, 3, 5, 5)))
+    w = ag.parameter(_rand(rng, (2, 3, 1, 1)))
+    b = ag.parameter(_rand(rng, (2,)))
     return (lambda: ag.vsum(ag.relu(ag.pointwise(x, w, b))), {"x": x, "w": w, "b": b})
 
 
 def _build_elementwise(rng):
-    a = ag.parameter(_rand(rng, (1, 2, 4, 4)), "a")
-    b = ag.parameter(_rand(rng, (1, 2, 4, 4)), "b")
+    a = ag.parameter(_rand(rng, (1, 2, 4, 4)))
+    b = ag.parameter(_rand(rng, (1, 2, 4, 4)))
     return (lambda: ag.vsum(ag.add(ag.mul(a, b), ag.sub(a, ag.scale(b, 0.5)))),
             {"a": a, "b": b})
 
@@ -50,7 +50,7 @@ def _fixed_mask(shape) -> ag.Var:
 
 def _masked(rng, layer, fn, size):
     """Loss sum(fn(x, layer) * mask) for a random x of (1, 2, size, size)."""
-    x = ag.parameter(_rand(rng, (1, 2, size, size)), "x")
+    x = ag.parameter(_rand(rng, (1, 2, size, size)))
     mask = _fixed_mask(x.shape)
     return (lambda: ag.vsum(ag.mul(fn(x, layer), mask)), {"x": x, **layer.parameters()})
 
@@ -75,7 +75,7 @@ def _build_cpdc(rng):
 
 def _build_ecf(rng):
     layer = make_ecf_layer(2, rng=rng, dtype=np.float64)
-    tensors = {name: ag.parameter(_rand(rng, (1, 2, 5, 5)), name)
+    tensors = {name: ag.parameter(_rand(rng, (1, 2, 5, 5)))
                for name in ("f_rgb", "f_depth", "hat_rgb", "hat_depth")}
     mask = _fixed_mask(tensors["f_rgb"].shape)
     return (lambda: ag.vsum(ag.mul(ecf_fuse(*tensors.values(), layer), mask)),

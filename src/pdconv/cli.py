@@ -36,7 +36,12 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_DIVERGED = 4
 
-GRADCHECK_TOL = 1e-4
+
+def _at_least(value, low: int, flag: str) -> int:
+    """A flag's int, or one entry of a list flag, checked to be an int >= ``low``."""
+    if not str(value).removeprefix("-").isdecimal() or int(value) < low:
+        raise ConfigurationError(f"{flag} must be an int of at least {low}, got {value!r}")
+    return int(value)
 
 
 def _thread_cap() -> str:
@@ -55,21 +60,22 @@ def _thread_cap() -> str:
 
 
 def cmd_gradcheck(args) -> int:
+    seed = _at_least(args.seed, 0, "--seed")
     failed = False
     for op in ([args.op] if args.op else checks.REGISTRY):
-        report = checks.run_gradcheck(op, seed=args.seed)
+        report = checks.run_gradcheck(op, seed=seed)
         for name, err in report.errors.items():
-            status = "ok" if err <= GRADCHECK_TOL else "FAIL"
+            status = "ok" if err <= ag.GRADCHECK_TOL else "FAIL"
             print(f"gradcheck {op:<12s} {name:<24s} rel_err={err:.3e} "
                   f"h={ag.GRADCHECK_STEP:g} dtype={report.dtype} {status}")
-            failed |= err > GRADCHECK_TOL
+            failed |= err > ag.GRADCHECK_TOL
     return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_equivalence(args) -> int:
     dtype = np.float32 if args.dtype == "f32" else np.float64
     tol = 1e-6 if args.dtype == "f32" else 1e-12
-    deviation = equivalence_deviation(args.seeds, dtype=dtype)
+    deviation = equivalence_deviation(_at_least(args.seeds, 1, "--seeds"), dtype=dtype)
     status = "ok" if deviation <= tol else "FAIL"
     print(f"equivalence seeds={args.seeds} dtype={args.dtype} "
           f"max_rel_deviation={deviation:.3e} tol={tol:g} {status}")
@@ -93,13 +99,13 @@ def cmd_rfmap(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    sizes = [_at_least(s, 1, "--sizes") for s in args.sizes.split(",")]
+    c = _at_least(args.channels, 1, "--channels")
+    reps = _at_least(args.reps, 1, "--reps")
+    rng = np.random.default_rng(_at_least(args.seed, 0, "--seed"))
     threads = _thread_cap()
-    sizes = [int(s) for s in args.sizes.split(",")]
-    c = args.channels
-    rng = np.random.default_rng(args.seed)
     print(f"bench channels={c} threads={threads} malloc={MALLOC}")
-    header = f"{'op':<10s} {'size':>5s} {'MACs':>12s} {'ms':>9s} {'GMAC/s':>8s}"
-    print(header)
+    print(f"{'op':<10s} {'size':>5s} {'MACs':>12s} {'ms':>9s} {'GMAC/s':>8s}")
     for size in sizes:
         x = rng.standard_normal((1, c, size, size)).astype(np.float32)
         spec5 = T.depthwise_spec(c, (5, 5), 1)
@@ -116,16 +122,16 @@ def cmd_bench(args) -> int:
              T.flop_count(spec3, c, c, (size, size))),
             ("clk", lambda: clk_forward(x, clk).value, clk_flops(c, (size, size))),
             ("pdc", lambda: pdc_forward(x, pdc).value,
-             T.flop_count(spec5, c, c, (size, size)) + c * size * size),
-            ("cpdc", lambda: cpdc_forward(x, cpdc).value,
-             clk_flops(c, (size, size)) + 2 * c * size * size),
+             T.flop_count(spec5, c, c, (size, size))),
+            ("cpdc", lambda: cpdc_forward(x, cpdc).value,  # + the gate product
+             clk_flops(c, (size, size)) + c * size * size),
         ]
         for name, fn, macs in cases:
             fn()  # warm up
             t0 = time.perf_counter()
-            for _ in range(args.reps):
+            for _ in range(reps):
                 fn()
-            dt = (time.perf_counter() - t0) / args.reps
+            dt = (time.perf_counter() - t0) / reps
             print(f"{name:<10s} {size:>5d} {macs:>12d} {dt * 1e3:>9.3f} "
                   f"{macs / dt / 1e9:>8.3f}")
         big = large_kernel_flops(c, (size, size))
@@ -137,7 +143,7 @@ def cmd_bench(args) -> int:
 def cmd_gen(args) -> int:
     cfg = SceneConfig(height=args.height, width=args.width, classes=args.classes,
                       depth_noise=args.depth_noise)
-    save_dataset(args.out, args.count, args.seed, cfg)
+    save_dataset(args.out, args.count, _at_least(args.seed, 0, "--seed"), cfg)
     print(f"wrote {args.count} scenes to {args.out}")
     return EXIT_OK
 
@@ -177,9 +183,7 @@ def _scalar_params(net: ToyPdcNet) -> dict[str, float]:
     for i, ecf in enumerate(net.ecf):
         out[f"s{i}.eta"] = float(ecf.eta.value)
         out[f"s{i}.lambda"] = float(ecf.lam.value)
-    for i, layers in ((i, (net.ops_rgb[i], net.ops_depth[i]))
-                      for i in range(len(net.ecf))):
-        for side, layer in zip(("rgb", "depth"), layers):
+        for side, layer in (("rgb", net.ops_rgb[i]), ("depth", net.ops_depth[i])):
             stages = ([layer.stage_local, layer.stage_long]
                       if hasattr(layer, "stage_local") else [layer])
             for j, st in enumerate(stages):

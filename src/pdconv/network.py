@@ -16,6 +16,7 @@ deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,9 @@ _BRANCH_OPS = {"full": ("cpdc", "pdc"), "vanilla-baseline": ("cpdc0", "pdc0"),
                "swap": ("pdc", "cpdc"), "pdc-only": ("cpdc0", "pdc"),
                "cpdc-only": ("cpdc", "pdc0")}
 VARIANTS = tuple(_BRANCH_OPS)
-ALPHA_MODES = ("learnable", "fixed")  # checkpoint codes 0 and 1
+ALPHA_MODES = ("learnable", "fixed")
+# NetConfig's string fields and their values; a checkpoint stores the index
+CHOICES = {"variant": VARIANTS, "alpha_mode": ALPHA_MODES}
 
 cross_entropy = ag.cross_entropy
 
@@ -99,6 +102,48 @@ def make_res_block(c, rng, dtype) -> ResBlock:
     return ResBlock(make_conv_unit(c, c, rng, dtype), make_conv_unit(c, c, rng, dtype))
 
 
+# --- config schema: how run.json and a checkpoint's meta.* become configs ----
+
+def _typed(value, like, where: str):
+    """``value`` checked against the type of the field default ``like``.
+
+    An int may stand for a float, a bool stands for no number, and a list
+    stands for a tuple: it must be non-empty and each element is checked.
+    """
+    if isinstance(like, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(f"{where} must be a non-empty list, got {value!r}")
+        return tuple(_typed(v, like[0], where) for v in value)
+    want = (int, float) if isinstance(like, float) else type(like)
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ConfigurationError(f"{where} must be {type(like).__name__}, got {value!r}")
+    return float(value) if isinstance(like, float) else value
+
+
+def _build(cls, data, where: str, skip: dict[str, str] | None = None,
+           required: bool = False):
+    """``cls`` from section ``where``'s dict ``data``, each value checked by
+    ``_typed``; a missing field keeps its default unless ``required``."""
+    skip = skip or {}
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    for name in data:
+        if name in skip:
+            raise ConfigurationError(f"{where}.{name} is not set here; it comes from {skip[name]}")
+    fields = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+    for problem, names in (("unknown", set(data) - set(fields)),
+                           ("missing", set(fields) - set(data) if required else ())):
+        if names:
+            raise ConfigurationError(f"{problem} key(s) "
+                                     + ", ".join(f"{where}.{n}" for n in sorted(names)))
+    values = {name: _typed(value, fields[name], f"{where}.{name}")
+              for name, value in data.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"'{where}.*' value out of range: {e}") from None
+
+
 # --- the network ------------------------------------------------------------
 
 @dataclass
@@ -112,10 +157,10 @@ class NetConfig:
     alpha_value: float = 0.5        # used when alpha_mode == "fixed"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ConfigurationError(f"alpha_mode must be learnable or fixed, got {self.alpha_mode}")
+        for key, choices in CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigurationError(
+                    f"{key} must be one of {choices}, got {getattr(self, key)!r}")
         if not (0.0 <= self.alpha_value <= 1.0):
             raise ConfigurationError(f"alpha_value must be in [0,1], got {self.alpha_value}")
         if self.classes < 2:
@@ -236,15 +281,13 @@ class ToyPdcNet:
     # -- persistence ---------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
+        """Parameters, then one i32 or f64 ``meta.<field>`` per NetConfig field."""
         state = {name: p.value for name, p in self.parameters().items()}
-        state["meta.classes"] = np.asarray([self.cfg.classes], dtype=np.int32)
-        state["meta.channels"] = np.asarray(self.cfg.channels, dtype=np.int32)
-        state["meta.blocks_per_stage"] = np.asarray([self.cfg.blocks_per_stage], dtype=np.int32)
-        state["meta.decoder_channels"] = np.asarray([self.cfg.decoder_channels], dtype=np.int32)
-        state["meta.variant"] = np.asarray([VARIANTS.index(self.cfg.variant)], dtype=np.int32)
-        state["meta.alpha_mode"] = np.asarray(
-            [ALPHA_MODES.index(self.cfg.alpha_mode)], dtype=np.int32)
-        state["meta.alpha_value"] = np.asarray([self.cfg.alpha_value], dtype=np.float64)
+        for f in dataclasses.fields(NetConfig):
+            value = getattr(self.cfg, f.name)
+            code = CHOICES[f.name].index(value) if f.name in CHOICES else value
+            dtype = np.float64 if isinstance(f.default, float) else np.int32
+            state[f"meta.{f.name}"] = np.asarray(code, dtype=dtype).reshape(-1)
         return state
 
     def save(self, path: str) -> None:
@@ -252,37 +295,23 @@ class ToyPdcNet:
 
     @classmethod
     def load(cls, path: str) -> "ToyPdcNet":
+        """Read a checkpoint by _build's rules; every NetConfig field is required."""
         saved = read_checkpoint(path)
-        meta = {k: saved.pop(k) for k in list(saved) if k.startswith("meta.")}
-
-        def meta_value(key: str, scalar: bool = True):
-            if f"meta.{key}" not in meta:
-                raise FormatError(f"checkpoint {path} is missing tensor 'meta.{key}'")
-            arr = meta[f"meta.{key}"].reshape(-1)
-            if scalar and arr.size != 1:
-                raise FormatError(f"checkpoint {path}: 'meta.{key}' must hold one value, "
-                                  f"got {arr.size}")
-            return arr[0] if scalar else arr
-
-        def code(key: str, names: tuple[str, ...]) -> str:
-            value = int(meta_value(key))
-            if not 0 <= value < len(names):
-                raise FormatError(f"checkpoint {path}: 'meta.{key}' is {value}, "
-                                  f"not a code in 0..{len(names) - 1}")
-            return names[value]
-
+        defaults = {f.name: f.default for f in dataclasses.fields(NetConfig)}
+        values = {}
         try:
-            cfg = NetConfig(
-                classes=int(meta_value("classes")),
-                channels=tuple(int(c) for c in meta_value("channels", scalar=False)),
-                blocks_per_stage=int(meta_value("blocks_per_stage")),
-                decoder_channels=int(meta_value("decoder_channels")),
-                variant=code("variant", VARIANTS),
-                alpha_mode=code("alpha_mode", ALPHA_MODES),
-                alpha_value=float(meta_value("alpha_value")),
-            )
-        except ConfigurationError as e:  # NetConfig's message names the key
-            raise FormatError(f"checkpoint {path}: 'meta.*' value out of range: {e}") from None
+            for key in [k for k in saved if k.startswith("meta.")]:
+                name, value = key[len("meta."):], saved.pop(key).reshape(-1).tolist()
+                if len(value) == 1 and not isinstance(defaults.get(name), tuple):
+                    value = value[0]  # else _typed refuses the list
+                choices = CHOICES.get(name)
+                if choices and (type(value) is not int or not 0 <= value < len(choices)):
+                    raise ConfigurationError(
+                        f"{key} is {value}, not a code in 0..{len(choices) - 1}")
+                values[name] = choices[value] if choices else value
+            cfg = _build(NetConfig, values, "meta", required=True)
+        except ConfigurationError as e:
+            raise FormatError(f"checkpoint {path}: {e}") from None
         net = cls(cfg, np.random.default_rng(0))  # every drawn value is overwritten below
         load_into({name: p.value for name, p in net.parameters().items()}, saved)
         return net

@@ -123,6 +123,40 @@ def test_bench_header_says_when_thread_cap_is_ignored(capsys, monkeypatch):
         assert pdconv.MALLOC == "fixed"
 
 
+def test_bench_pdc_macs_are_one_depthwise_5x5_conv(capsys):
+    code, out, _ = run(capsys, "bench", "--sizes", "8", "--channels", "3", "--reps", "1")
+    assert code == 0
+    rows = {line.split()[0]: int(line.split()[2]) for line in out.splitlines()[2:]
+            if line.split()[0] in ("pdc", "cpdc")}
+    dw5 = pdconv.tensor.flop_count(pdconv.tensor.depthwise_spec(3, (5, 5), 1), 3, 3, (8, 8))
+    assert rows["pdc"] == dw5
+    assert rows["cpdc"] == pdconv.clk.clk_flops(3, (8, 8)) + 3 * 8 * 8
+
+
+# each out-of-range flag value, and the flag its one error line names
+BAD_FLAGS = [
+    (("gradcheck", "--op", "pdc", "--seed", "-1"), "--seed"),
+    (("bench", "--seed", "-1"), "--seed"),
+    (("gen", "--count", "1", "--seed", "-1"), "--seed"),
+    (("bench", "--reps", "0"), "--reps"),
+    (("bench", "--sizes", "abc"), "--sizes"),
+    (("bench", "--sizes", "16,0"), "--sizes"),
+    (("bench", "--channels", "0"), "--channels"),
+    (("equivalence", "--seeds", "0"), "--seeds"),
+    (("equivalence", "--seeds", "-3"), "--seeds"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_bad_flag_value_is_one_usage_error_line(argv, flag, tmp_path, capsys):
+    if argv[0] == "gen":
+        argv += ("--out", str(tmp_path / "x"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 class TestGenCommand:
     def test_deterministic_bytes(self, tmp_path, capsys):
         dirs = []
@@ -445,6 +479,10 @@ BAD_CHECKPOINTS = {
                   "net.pdck: 'meta.*' value out of range: classes must be at least 2"),
     "channels [0, 6]": (_set_first("meta.channels", 0),
                         "net.pdck: 'meta.*' value out of range: channels must be non-empty"),
+    "extra meta.bogus": (lambda state: state.update({"meta.bogus": np.zeros(1, np.int32)}),
+                         "net.pdck: unknown key(s) meta.bogus"),
+    "classes 5.9": (lambda state: state.update({"meta.classes": np.asarray([5.9])}),
+                    "net.pdck: meta.classes must be int, got 5.9"),
 }
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import platform
+import re
 import subprocess
 import sys
 import weakref
@@ -24,6 +26,11 @@ from pdconv import autograd as ag
 SMALL_NET = NetConfig(classes=3, channels=(4, 6, 8), blocks_per_stage=1,
                       decoder_channels=8)
 SMALL_SCENES = SceneConfig(height=24, width=24, classes=3)
+# every field differs from NetConfig's default
+NON_DEFAULT_NET = NetConfig(classes=3, channels=(4, 6), blocks_per_stage=1,
+                            decoder_channels=8, variant="swap", alpha_mode="fixed",
+                            alpha_value=0.25)
+NET_FIELDS = [f.name for f in dataclasses.fields(NetConfig)]
 
 
 # --- metrics -----------------------------------------------------------------
@@ -246,9 +253,9 @@ class TestNetwork:
             ToyPdcNet.load(path)
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
-        cfg = NetConfig(classes=3, channels=(4, 6), blocks_per_stage=1,
-                        decoder_channels=8, variant="swap", alpha_mode="fixed",
-                        alpha_value=0.25)
+        cfg = NON_DEFAULT_NET
+        assert [f for f in NET_FIELDS
+                if getattr(cfg, f) == getattr(NetConfig(), f)] == []
         net = ToyPdcNet(cfg, rng=np.random.default_rng(3))
         path = str(tmp_path / "net.pdck")
         net.save(path)
@@ -259,6 +266,30 @@ class TestNetwork:
         _, (rgb, depth, _) = small_batch()
         np.testing.assert_array_equal(back.forward(rgb, depth).value,
                                       net.forward(rgb, depth).value)
+
+    @pytest.mark.parametrize("field", NET_FIELDS)
+    def test_load_requires_every_meta_field(self, tmp_path, field):
+        state = ToyPdcNet(NON_DEFAULT_NET, rng=np.random.default_rng(0)).state_dict()
+        del state[f"meta.{field}"]
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=re.escape(f"missing key(s) meta.{field}")):
+            ToyPdcNet.load(path)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("meta.bogus", [1.0], "unknown key(s) meta.bogus"),
+        ("meta.classes", [5.9], "meta.classes must be int, got 5.9"),
+        ("meta.channels", [5.9, 6], "meta.channels must be int, got 5.9"),
+        ("meta.blocks_per_stage", [1.0], "meta.blocks_per_stage must be int, got 1.0"),
+        ("meta.variant", [1.0], "meta.variant is 1.0, not a code in 0..4"),
+    ])
+    def test_load_refuses_meta_by_the_run_config_rules(self, tmp_path, key, value, named):
+        state = ToyPdcNet(NON_DEFAULT_NET, rng=np.random.default_rng(0)).state_dict()
+        state[key] = np.asarray(value, dtype=np.float64)
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path}: {named}")):
+            ToyPdcNet.load(path)
 
     def test_default_net_backward_bit_identical(self):
         # full size: the dense convs and upsample run on BLAS inside backward
