@@ -254,6 +254,36 @@ def standardize(x) -> Var:
     return Var(y, (x,), bwd)
 
 
+def norm_act(y, gamma, beta, residual=None) -> Var:
+    """relu(standardize(y)·gamma + beta [+ residual]) as one tape node that
+    keeps only the (N, C, 1, 1) mean and inverse std; backward recomputes the
+    standardized value from y and the relu mask from the output.  Values and
+    gradients are byte-identical to the unfused standardize/mul/add/relu chain.
+    """
+    y, gamma, beta = as_var(y), as_var(gamma), as_var(beta)
+    mu = y.value.mean(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(y.value.var(axis=(2, 3), keepdims=True) + 1e-5)
+    pre = (y.value - mu) * inv * gamma.value + beta.value
+    parents = (y, gamma, beta)
+    if residual is not None:
+        residual = as_var(residual)
+        pre = pre + residual.value
+        parents += (residual,)
+    out = pre * (pre > 0)
+
+    def bwd(g):
+        ga = g * (out > 0)
+        yhat = (y.value - mu) * inv
+        gs = ga * gamma.value
+        gm = gs.mean(axis=(2, 3), keepdims=True)
+        gym = (gs * yhat).mean(axis=(2, 3), keepdims=True)
+        grads = ((gs - gm - yhat * gym) * inv, _unbroadcast(ga * yhat, gamma.value.shape),
+                 _unbroadcast(ga, beta.value.shape))
+        return grads if residual is None else grads + (ga,)
+
+    return Var(out, parents, bwd)
+
+
 def cross_entropy(logits, labels: np.ndarray) -> Var:
     """Mean pixel-wise cross-entropy from raw logits (N,M,H,W) and integer
     labels (N,H,W)."""

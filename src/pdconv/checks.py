@@ -43,6 +43,14 @@ def _build_elementwise(rng):
             {"a": a, "b": b})
 
 
+def _build_norm_act(rng):
+    y, residual = (ag.parameter(_rand(rng, (1, 2, 5, 5))) for _ in range(2))
+    gamma, beta = (ag.parameter(_rand(rng, (1, 2, 1, 1))) for _ in range(2))
+    mask = _fixed_mask(y.shape)
+    return (lambda: ag.vsum(ag.mul(ag.norm_act(y, gamma, beta, residual), mask)),
+            {"y": y, "gamma": gamma, "beta": beta, "residual": residual})
+
+
 def _fixed_mask(shape) -> ag.Var:
     # fixed weighting so the scalar loss is sensitive to every output pixel
     return ag.Var(np.random.default_rng(12345).standard_normal(shape))
@@ -95,6 +103,7 @@ REGISTRY = {
     "conv2d": _build_conv2d,
     "pointwise": _build_pointwise,
     "elementwise": _build_elementwise,
+    "norm_act": _build_norm_act,
     "pdc": _build_pdc,
     "clk": _build_clk,
     "parallel": _build_parallel,

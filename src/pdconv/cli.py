@@ -1,8 +1,8 @@
 """pdconv command-line interface.
 
 Subcommands: gradcheck, equivalence, rfmap, bench, gen, train, eval.
-Exit codes: 0 success, 1 check failure, 2 bad arguments, 3 missing file,
-4 training divergence.
+Exit codes: 0 success, 1 check failure, 2 bad arguments (a path of the wrong
+kind included), 3 missing file, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file {e.filename or e}", file=sys.stderr)
         return EXIT_MISSING
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as e:
+        print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -49,9 +49,10 @@ cross_entropy = ag.cross_entropy
 
 @dataclass
 class ConvUnit:
-    """conv -> standardize -> affine -> relu.
+    """conv -> standardize -> affine (-> + residual) -> relu.
 
     No conv bias: standardization would cancel it; beta provides the shift.
+    Everything after the conv is one ``ag.norm_act`` node.
     """
 
     w: ag.Var
@@ -59,13 +60,8 @@ class ConvUnit:
     beta: ag.Var
     spec: T.ConvSpec
 
-    def affine(self, x: ag.Var) -> ag.Var:
-        """conv -> standardize -> affine, without the relu."""
-        y = ag.conv(x, self.w, self.spec)
-        return ag.add(ag.mul(ag.standardize(y), self.gamma), self.beta)
-
-    def __call__(self, x: ag.Var) -> ag.Var:
-        return ag.relu(self.affine(x))
+    def __call__(self, x: ag.Var, residual: ag.Var | None = None) -> ag.Var:
+        return ag.norm_act(ag.conv(x, self.w, self.spec), self.gamma, self.beta, residual)
 
     def parameters(self, prefix: str) -> dict[str, ag.Var]:
         return {f"{prefix}.w": self.w,
@@ -84,13 +80,13 @@ def make_conv_unit(c_in, c_out, rng, dtype, stride=1) -> ConvUnit:
 
 @dataclass
 class ResBlock:
-    """relu(unit2.affine(unit1(x)) + x): the second unit's relu follows the add."""
+    """unit2(unit1(x), x): the second unit's relu follows the residual add."""
 
     unit1: ConvUnit
     unit2: ConvUnit
 
     def __call__(self, x: ag.Var) -> ag.Var:
-        return ag.relu(ag.add(self.unit2.affine(self.unit1(x)), x))
+        return self.unit2(self.unit1(x), x)
 
     def parameters(self, prefix: str) -> dict[str, ag.Var]:
         params = self.unit1.parameters(f"{prefix}.c1")

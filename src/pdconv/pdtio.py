@@ -39,16 +39,19 @@ def _dtype_code(arr: np.ndarray) -> int:
 
 
 def _atomic_write(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write through a temp file in path's directory; an OSError names path,
+    not the temp file, and the temp file never outlives the call."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _encode_tensor(arr: np.ndarray) -> bytes:
@@ -86,7 +89,10 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
     dims = r.unpack(f"<{ndim}I")
     dtype = _CODE_TO_DTYPE[code]
     data = r.take(math.prod(dims) * dtype.itemsize)
-    return np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+    try:
+        return np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+    except ValueError:  # an empty shape whose other dims overflow numpy's size
+        raise FormatError(f"shape {dims} too large in {r.what}") from None
 
 
 def write_pdt(path: str, arr: np.ndarray) -> None:

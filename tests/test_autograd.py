@@ -130,6 +130,47 @@ def test_standardize_gradcheck():
     assert report.passed(1e-4), report.errors
 
 
+def _unfused_norm_act(y, gamma, beta, residual=None):
+    pre = ag.add(ag.mul(ag.standardize(y), gamma), beta)
+    return ag.relu(pre if residual is None else ag.add(pre, residual))
+
+
+def _norm_act_leaves(rng, dtype, with_residual):
+    shape = (3, 4, 6, 5)
+    arrays = {"y": rng.standard_normal(shape), "gamma": rng.standard_normal((1, 4, 1, 1)),
+              "beta": rng.standard_normal((1, 4, 1, 1))}
+    if with_residual:
+        arrays["residual"] = rng.standard_normal(shape)
+    return {k: v.astype(dtype) for k, v in arrays.items()}
+
+
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_norm_act_is_byte_equal_to_the_unfused_chain(dtype, with_residual):
+    rng = np.random.default_rng(9)
+    arrays = _norm_act_leaves(rng, dtype, with_residual)
+    weight = ag.Var(rng.standard_normal(arrays["y"].shape).astype(dtype))
+    results = []
+    for op in (ag.norm_act, _unfused_norm_act):
+        leaves = {k: ag.parameter(v) for k, v in arrays.items()}
+        out = op(**leaves)
+        ag.backward(ag.vsum(ag.mul(out, weight)))
+        results.append([out.value.tobytes()] + [leaves[k].grad.tobytes() for k in arrays])
+    assert results[0] == results[1]
+    # the relu is x * mask: a negative pre-activation gives -0.0 in both
+    assert out.dtype == dtype and np.signbit(out.value[out.value == 0]).any()
+
+
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+def test_norm_act_gradcheck(with_residual):
+    rng = np.random.default_rng(10)
+    params = {k: ag.parameter(v)
+              for k, v in _norm_act_leaves(rng, np.float64, with_residual).items()}
+    weight = ag.Var(rng.standard_normal(params["y"].shape))
+    report = ag.gradcheck(lambda: ag.vsum(ag.mul(ag.norm_act(**params), weight)), params)
+    assert report.passed(ag.GRADCHECK_TOL), report.errors
+
+
 def test_upsample_gradcheck():
     x = ag.parameter(np.random.default_rng(7).standard_normal((1, 2, 3, 3)))
     mask = np.random.default_rng(8).standard_normal((1, 2, 6, 6))

@@ -100,6 +100,26 @@ class TestRfmapCommand:
         code, _, _ = run(capsys, "rfmap", "--mode", "donut")
         assert code == 2
 
+    def test_out_in_missing_directory_names_the_given_path(self, capsys, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "rfmap", "--mode", "cascade", "--out", "nodir/x.pdt")
+        assert code == 3 and err == "error: missing file nodir/x.pdt\n"
+        assert [p.name for p in tmp_path.rglob("*")] == []
+
+    @pytest.mark.parametrize("make", ["dir", "file"], ids=["out-is-dir", "parent-is-file"])
+    def test_out_of_the_wrong_kind_is_usage_error(self, make, capsys, tmp_path):
+        if make == "dir":
+            (tmp_path / "d").mkdir()
+            out = str(tmp_path / "d")
+        else:
+            (tmp_path / "d").write_text("")
+            out = str(tmp_path / "d" / "x.pdt")
+        code, _, err = run(capsys, "rfmap", "--mode", "cascade", "--out", out)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert out in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
+
 
 def test_bench_runs_and_reports_mac_advantage(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "16", "--channels", "4",
@@ -187,6 +207,13 @@ class TestGenCommand:
         code, _, err = run(capsys, "gen", *[a for pair in args.items() for a in pair])
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        code, _, err = run(capsys, "gen", "--out", str(out), "--count", "1", "--seed", "0")
+        assert code == 2 and err == f"error: File exists: {out}\n"
+        assert out.read_text() == "keep"
 
     def test_zero_count_writes_an_empty_dataset(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -277,6 +304,10 @@ class TestTrainEvalFlow:
         code, _, _ = run(capsys, "eval", "--ckpt", "/does/not/exist.pdck",
                          "--data", small_dataset)
         assert code == 3
+
+    def test_checkpoint_that_is_a_directory_is_usage_error(self, small_dataset, capsys):
+        code, _, err = run(capsys, "eval", "--ckpt", small_dataset, "--data", small_dataset)
+        assert code == 2 and err == f"error: Is a directory: {small_dataset}\n"
 
     def test_missing_config(self, small_dataset, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--config", str(tmp_path / "no.json"),

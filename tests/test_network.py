@@ -305,6 +305,36 @@ class TestNetwork:
         for name, p in params.items():
             assert p.grad.tobytes() == first[name], name
 
+    def test_conv_unit_output_is_one_tape_node(self):
+        # everything after a unit's conv is one node: no standardized, affine
+        # or pre-relu value of any unit is reachable from the logits
+        net = ToyPdcNet(NetConfig(), rng=np.random.default_rng(7))
+        _, (rgb, depth, _) = small_batch(n=2, cfg=SceneConfig())
+        consumers = {}
+        for node in ag._topo(net.forward(rgb, depth)):
+            for p in node.parents:
+                consumers.setdefault(id(p), []).append(node)
+
+        def unit_output(unit):
+            assert len(consumers[id(unit.gamma)]) == 1
+            out = consumers[id(unit.gamma)][0]
+            conv = out.parents[0]
+            assert conv.parents[1] is unit.w
+            assert consumers[id(conv)] == consumers[id(unit.beta)] == [out]
+            return out, conv
+
+        blocks = [b for stage in net.blocks_rgb + net.blocks_depth for b in stage]
+        plain = [net.stem_rgb, net.stem_depth, *net.trans_rgb, *net.trans_depth,
+                 *(b.unit1 for b in blocks)]
+        assert len(plain) + len(blocks) == 32
+        for unit in plain:
+            out, conv = unit_output(unit)
+            assert out.parents == (conv, unit.gamma, unit.beta)
+        for b in blocks:
+            out, conv = unit_output(b.unit2)
+            block_input = unit_output(b.unit1)[1].parents[0]
+            assert out.parents == (conv, b.unit2.gamma, b.unit2.beta, block_input)
+
     def test_train_step_skips_input_grad_of_the_images(self, monkeypatch):
         # plain image arrays are constants: the two stem convs compute no
         # input gradient, and every parameter gradient stays the same

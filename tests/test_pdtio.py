@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,14 @@ def test_pdt_rank_above_limit(tmp_path):
     bad = tmp_path / "rank.pdt"
     bad.write_bytes(pdtio.PDT_MAGIC + bytes([1, 200]) + b"\x00" * 800)
     with pytest.raises(FormatError, match="rank 200"):
+        pdtio.read_pdt(str(bad))
+
+
+def test_pdt_empty_shape_too_large_for_numpy(tmp_path):
+    # no data bytes are needed, but numpy refuses the shape
+    bad = tmp_path / "huge.pdt"
+    bad.write_bytes(pdtio.PDT_MAGIC + bytes([1, 3]) + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(FormatError, match=r"shape \(0, 4294967295, 4294967295\) too large"):
         pdtio.read_pdt(str(bad))
 
 
