@@ -3,9 +3,12 @@
 A Var wraps a numpy value plus the backward rule that produced it.  Graphs
 are built eagerly by the op functions below and differentiated by
 ``backward``; gradients accumulate additively across fan-out and the
-traversal order is fixed, so repeated backward passes are bit-identical.
-Gradients persist on leaves only (parameters and inputs, the Vars with no
-backward rule); an interior node's gradient is freed once its rule has run.
+traversal order is fixed, so two graphs built from the same inputs give
+bit-identical gradients.  Gradients persist on leaves only (parameters and
+inputs, the Vars with no backward rule).  Backward consumes the graph: once
+a node's rule has run, the node lets go of its parents and its rule, so each
+interior value is freed as soon as nothing reads it any more.  To
+differentiate again, build the graph again.
 """
 
 from __future__ import annotations
@@ -70,12 +73,39 @@ def _topo(root: Var) -> list[Var]:
     return order
 
 
+def _consumed(g):
+    raise ContractError("this graph was consumed by an earlier backward; build it again")
+
+
+def _run_rule(node: Var) -> None:
+    """Run node's rule, add its gradients into its parents' and consume node.
+
+    A function of its own so that the rule's gradient tuple is released on
+    return, before the next rule allocates.  Accumulation stays out of place:
+    a rule may hand the same array to several parents (``add`` does), so
+    ``+=`` would corrupt them.
+    """
+    grads = node._backward(node.grad)
+    parents = node.parents
+    node.grad, node.parents, node._backward = None, (), _consumed
+    for parent, g in zip(parents, grads):
+        if g is None:
+            continue
+        if parent.grad is None:
+            parent.grad = g
+        else:
+            parent.grad = parent.grad + g
+
+
 def backward(root: Var) -> None:
     """Populate .grad on every leaf reachable from a scalar-valued root.
 
-    An interior node's .grad is set to None as soon as its backward rule has
-    consumed it.  Accumulation stays out of place: a rule may hand the same
-    array to several parents (``add`` does), so ``+=`` would corrupt them.
+    Consumes the graph: right after a node's rule has run, its .grad is set
+    to None, its parents to () and its rule to one that raises
+    ContractError, so a second backward through any of its nodes fails
+    rather than using stale values.  Rules run consumers before producers,
+    so each interior value is released once the last rule that reads it has
+    run; a Var the caller still holds keeps its .value.
     """
     if root.value.size != 1:
         raise ContractError(f"backward requires a scalar root, got shape {root.value.shape}")
@@ -83,18 +113,10 @@ def backward(root: Var) -> None:
     for node in order:
         node.grad = None
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node.grad is None or node._backward is None:
-            continue
-        grads = node._backward(node.grad)
-        node.grad = None
-        for parent, g in zip(node.parents, grads):
-            if g is None:
-                continue
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+    while order:
+        node = order.pop()
+        if node.grad is not None and node._backward is not None:
+            _run_rule(node)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -424,7 +424,6 @@ def train(net: ToyPdcNet, train_samples: list[SegSample],
             if not np.isfinite(loss_val):
                 raise TrainingDiverged(iteration)
             ag.backward(loss)
-            del loss  # frees this step's tape before the next forward pass
             lr = poly_lr(hyper.lr, iteration, max_iterations, hyper.poly_power)
             opt.step(params, decayable, lr, hyper.momentum, hyper.weight_decay)
             epoch_loss += loss_val * len(batch)

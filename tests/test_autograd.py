@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -54,16 +56,19 @@ def test_backward_deterministic_bit_identical():
     rng = np.random.default_rng(3)
     x = ag.parameter(rng.standard_normal((1, 2, 5, 5)))
     w = ag.parameter(rng.standard_normal((2, 2, 3, 3)))
-    y = ag.conv(x, w, T.ConvSpec(kernel=(3, 3)))
-    loss = ag.vsum(ag.mul(y, y))
-    ag.backward(loss)
-    gx1, gw1 = x.grad.copy(), w.grad.copy()
-    ag.backward(loss)
-    assert np.array_equal(gx1, x.grad) and gx1.tobytes() == x.grad.tobytes()
-    assert gw1.tobytes() == w.grad.tobytes()
+
+    def grads():
+        y = ag.conv(x, w, T.ConvSpec(kernel=(3, 3)))
+        ag.backward(ag.vsum(ag.mul(y, y)))
+        return x.grad.copy(), w.grad.copy()
+
+    (gx1, gw1), (gx2, gw2) = grads(), grads()
+    assert np.array_equal(gx1, gx2) and gx1.tobytes() == gx2.tobytes()
+    assert gw1.tobytes() == gw2.tobytes()
 
 
-def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+def _fan_out_graph():
+    """Leaves x, w, c and interior nodes y, z, loss, where y, x and z fan out."""
     rng = np.random.default_rng(5)
     x = ag.parameter(rng.standard_normal((2, 3, 6, 6)))
     w = ag.parameter(rng.standard_normal((3, 1, 3, 3)))
@@ -71,14 +76,59 @@ def test_backward_frees_interior_grads_and_keeps_leaf_grads():
     y = ag.conv(x, w, T.depthwise_spec(3, (3, 3), 1))
     z = ag.add(ag.mul(y, c), y)  # y fans out to mul and add
     loss = ag.vsum(ag.mul(z, ag.add(x, z)))  # so do x and z
-    leaves, interior = (x, w, c), (y, z, loss)
+    return (x, w, c), (y, z, loss)
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    grads = []
+    for _ in range(2):  # the same graph, built twice from the same inputs
+        leaves, interior = _fan_out_graph()
+        ag.backward(interior[-1])
+        assert all(node.grad is None for node in interior)
+        assert all(node.grad is not None for node in leaves)
+        grads.append([node.grad.tobytes() for node in leaves])
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("second_root", ["same_root", "new_graph_on_consumed_node"])
+def test_second_backward_on_a_consumed_graph_raises(second_root):
+    (x, w, _), (y, z, loss) = _fan_out_graph()
     ag.backward(loss)
-    assert all(node.grad is None for node in interior)
-    assert all(node.grad is not None for node in leaves)
-    first = [node.grad.tobytes() for node in leaves]
+    first = [x.grad.tobytes(), w.grad.tobytes()]
+    assert y.parents == z.parents == loss.parents == ()
+    root = loss if second_root == "same_root" else ag.vsum(ag.mul(z, x))
+    with pytest.raises(ContractError, match="consumed by an earlier backward; build it again"):
+        ag.backward(root)
+    if second_root == "same_root":  # backward fails before any leaf gradient is touched
+        assert [x.grad.tobytes(), w.grad.tobytes()] == first
+
+
+def test_backward_frees_an_interior_value_nobody_holds():
+    rng = np.random.default_rng(11)
+    x = ag.parameter(rng.standard_normal((2, 3, 8, 8)))
+    w = ag.parameter(rng.standard_normal((3, 1, 3, 3)))
+    y = ag.conv(x, w, T.depthwise_spec(3, (3, 3), 1))
+    freed = weakref.ref(y.value)  # Var has no __weakref__; its value does
+    loss = ag.vsum(ag.mul(ag.relu(y), y))
+    del y
+    assert freed() is not None  # the graph still reads it
     ag.backward(loss)
-    assert all(node.grad is None for node in interior)
-    assert [node.grad.tobytes() for node in leaves] == first
+    assert freed() is None and np.isfinite(loss.value)  # the root is still held
+    assert x.grad is not None and w.grad is not None
+
+
+def test_backward_keeps_a_held_value_and_frees_what_it_was_built_from():
+    rng = np.random.default_rng(12)
+    x = ag.parameter(rng.standard_normal((2, 3, 8, 8)))
+    w = ag.parameter(rng.standard_normal((3, 1, 3, 3)))
+    y = ag.conv(x, w, T.depthwise_spec(3, (3, 3), 1))
+    freed = weakref.ref(y.value)
+    held = ag.relu(ag.mul(y, y))  # the caller reads this value after backward
+    before = held.value.copy()
+    del y
+    ag.backward(ag.vsum(ag.mul(held, x)))
+    assert held.value.tobytes() == before.tobytes()
+    assert freed() is None  # holding `held` does not keep its inputs alive
 
 
 def test_conv_weight_gradient_matches_finite_differences():

@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -298,12 +299,28 @@ class TestNetwork:
         assert rgb.dtype == np.float32 and rgb.shape == (8, 3, 48, 48)
         params = net.parameters()
         assert len(params) == 138
-        loss = ag.cross_entropy(net.forward(rgb, depth), labels)
-        ag.backward(loss)
-        first = {name: p.grad.tobytes() for name, p in params.items()}
-        ag.backward(loss)
-        for name, p in params.items():
-            assert p.grad.tobytes() == first[name], name
+        grads = []
+        for _ in range(2):  # backward consumes the graph: build it again
+            ag.backward(ag.cross_entropy(net.forward(rgb, depth), labels))
+            grads.append({name: p.grad.tobytes() for name, p in params.items()})
+        for name in params:
+            assert grads[1][name] == grads[0][name], name
+
+    def test_backward_peak_stays_near_the_forward_tape(self):
+        # backward releases each node once its rule has run, so its traced
+        # peak stays close to what the forward left live
+        net = ToyPdcNet(NetConfig(), rng=np.random.default_rng(5))
+        _, (rgb, depth, labels) = small_batch(n=2, cfg=SceneConfig())
+        tracemalloc.start()
+        try:
+            loss = ag.cross_entropy(net.forward(rgb, depth), labels)
+            tape, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ag.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * tape, (peak, tape)
 
     def test_conv_unit_output_is_one_tape_node(self):
         # everything after a unit's conv is one node: no standardized, affine
