@@ -361,7 +361,8 @@ def gradcheck(f, params: dict[str, Var], max_coords: int | None = None,
     """Compare analytic gradients of scalar f() against central differences.
 
     ``f`` must rebuild its graph from the current parameter values on each
-    call.  Relative error uses denominator max(|analytic|, |numeric|, 1e-8).
+    call.  Relative error uses denominator max(|analytic|, |numeric|, 1e-8);
+    a parameter whose analytic gradient is not finite gets an error of inf.
     When ``max_coords`` is set, at most that many coordinates per parameter
     are probed, sampled with ``rng``, which must then be given.
     """
@@ -383,7 +384,8 @@ def gradcheck(f, params: dict[str, Var], max_coords: int | None = None,
             coords = rng.choice(count, size=max_coords, replace=False)
         else:
             coords = range(count)
-        worst = 0.0
+        # set here, since max() below would drop a NaN error
+        worst = 0.0 if np.isfinite(analytic[name]).all() else math.inf
         ana_flat = analytic[name].reshape(-1)
         for idx in coords:
             orig = flat[idx]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -42,21 +41,6 @@ def _at_least(value, low: int, flag: str) -> int:
     if not str(value).removeprefix("-").isdecimal() or int(value) < low:
         raise ConfigurationError(f"{flag} must be an int of at least {low}, got {value!r}")
     return int(value)
-
-
-def _thread_cap() -> str:
-    """Apply PDCONV_THREADS as a BLAS thread cap; describe what took effect."""
-    cap = os.environ.get("PDCONV_THREADS")
-    if not cap:
-        return "default"
-    if not cap.isdigit() or int(cap) < 1:
-        return f"{cap} (ignored: not a positive integer)"
-    try:
-        import threadpoolctl
-    except ImportError:
-        return f"{cap} (ignored: threadpoolctl not installed)"
-    threadpoolctl.threadpool_limits(int(cap))
-    return cap
 
 
 def cmd_gradcheck(args) -> int:
@@ -103,8 +87,7 @@ def cmd_bench(args) -> int:
     c = _at_least(args.channels, 1, "--channels")
     reps = _at_least(args.reps, 1, "--reps")
     rng = np.random.default_rng(_at_least(args.seed, 0, "--seed"))
-    threads = _thread_cap()
-    print(f"bench channels={c} threads={threads} malloc={MALLOC}")
+    print(f"bench channels={c} malloc={MALLOC}")
     print(f"{'op':<10s} {'size':>5s} {'MACs':>12s} {'ms':>9s} {'GMAC/s':>8s}")
     for size in sizes:
         x = rng.standard_normal((1, c, size, size)).astype(np.float32)
@@ -169,7 +152,7 @@ def cmd_train(args) -> int:
                   f"lr {record['lr']:.5f} loss {record['loss']:.4f} "
                   f"pix_acc {record['pix_acc']:.4f} miou {record['miou']:.4f}")
 
-        train(net, samples, None, hyper, log_fn=log_fn)
+        train(net, samples, hyper, log_fn=log_fn)
     finally:
         if log_file is not None:
             log_file.close()
@@ -273,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

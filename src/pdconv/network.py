@@ -330,14 +330,16 @@ def make_batch(samples: list[SegSample], dtype=np.float32):
     return rgb, depth, labels
 
 
-def evaluate(net: ToyPdcNet, samples: list[SegSample], batch_size: int = 16,
-             ) -> tuple[float, float, ConfusionMatrix]:
+EVAL_BATCH = 16
+
+
+def evaluate(net: ToyPdcNet, samples: list[SegSample]) -> tuple[float, float, ConfusionMatrix]:
     if not samples:
         raise ConfigurationError("nothing to evaluate: the dataset holds no samples")
     m = net.cfg.classes
     cm = ConfusionMatrix(np.zeros((m, m), dtype=np.int64))
-    for start in range(0, len(samples), batch_size):
-        rgb, depth, labels = make_batch(samples[start : start + batch_size], net.dtype)
+    for start in range(0, len(samples), EVAL_BATCH):
+        rgb, depth, labels = make_batch(samples[start : start + EVAL_BATCH], net.dtype)
         logits = net.forward(rgb, depth).value
         preds = np.argmax(logits, axis=1)
         cm = cm.merge(ConfusionMatrix.from_labels(preds, labels, m))
@@ -389,20 +391,18 @@ class SgdState:
             p.value = p.value - (lr * v).astype(p.value.dtype)
 
 
-def train(net: ToyPdcNet, train_samples: list[SegSample],
-          val_samples: list[SegSample] | None, hyper: TrainConfig,
+def train(net: ToyPdcNet, samples: list[SegSample], hyper: TrainConfig,
           log_fn=None) -> list[dict]:
     """SGD with momentum, weight decay, and a poly learning-rate schedule.
 
-    Returns one history record per epoch; raises TrainingDiverged (with the
-    iteration index) if the loss goes non-finite, and ConfigurationError if
-    no sample is left to train on.
+    The last max(1, int(len(samples) * val_fraction)) samples are held out
+    and evaluated after each epoch.  Returns one history record per epoch;
+    raises TrainingDiverged (with the iteration index) if the loss goes
+    non-finite, and ConfigurationError if no sample is left to train on.
     """
     rng = np.random.default_rng(hyper.seed)
-    if val_samples is None:
-        n_val = max(1, int(len(train_samples) * hyper.val_fraction))
-        val_samples = train_samples[-n_val:]
-        train_samples = train_samples[:-n_val]
+    n_val = max(1, int(len(samples) * hyper.val_fraction))
+    train_samples, val_samples = samples[:-n_val], samples[-n_val:]
     if not train_samples:
         raise ConfigurationError("the training split is empty; use more samples "
                                  "or a smaller val_fraction")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -38,12 +37,16 @@ def _dtype_code(arr: np.ndarray) -> int:
     return code
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
-    """Write through a temp file in path's directory; an OSError names path,
-    not the temp file, and the temp file never outlives the call."""
+def atomic_write(path: str, payload: bytes) -> None:
+    """Write through a temp file in path's directory, created with mode 0o666
+    so that the umask sets path's mode as it would for open(); an OSError
+    names path, not the temp file, and the temp file never outlives the call."""
+    directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # so that only a file this call created is unlinked below
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
         os.replace(tmp, path)
@@ -96,7 +99,7 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
 
 
 def write_pdt(path: str, arr: np.ndarray) -> None:
-    _atomic_write(path, PDT_MAGIC + _encode_tensor(np.asarray(arr)))
+    atomic_write(path, PDT_MAGIC + _encode_tensor(np.asarray(arr)))
 
 
 def read_pdt(path: str) -> np.ndarray:
@@ -118,7 +121,7 @@ def write_checkpoint(path: str, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<H", len(encoded_name)))
         parts.append(encoded_name)
         parts.append(_encode_tensor(np.asarray(arr)))
-    _atomic_write(path, b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def read_checkpoint(path: str) -> dict[str, np.ndarray]:

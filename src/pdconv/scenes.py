@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .pdtio import read_pdt, write_pdt
+from .pdtio import atomic_write, read_pdt, write_pdt
 
 DEPTH_PAIR = (1, 2)  # (base region, offset region) of the depth-only pair
 # extra shapes per scene, one band each in the right strip
@@ -195,11 +195,8 @@ def save_dataset(directory: str, count: int, seed: int, cfg: SceneConfig) -> Non
         "count": count,
         "seed": seed,
     }
-    tmp = os.path.join(directory, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, os.path.join(directory, MANIFEST_NAME))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    atomic_write(os.path.join(directory, MANIFEST_NAME), text.encode())
 
 
 def _check_sample(path: str, arr: np.ndarray, shape: tuple[int, ...], kind: type) -> None:

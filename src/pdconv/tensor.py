@@ -246,10 +246,8 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
     if _depthwise(spec, c, o):
         # gout placed on x's flat grid: one dot product per tap and channel
         xp, (_, hp, wp, _, _), taps = _flat(x, spec)
-        grid = np.zeros((c, n, hp, wp), dtype=gout.dtype)
-        grid[:, :, :h, :w_in] = gout.transpose(1, 0, 2, 3)
         run = ((n - 1) * hp + h - 1) * wp + w_in
-        grid, gw = grid.reshape(c, -1)[:, :run], np.zeros(w_shape, dtype=gout.dtype)
+        grid, gw = _on_grid(gout, hp, wp)[:, :run], np.zeros(w_shape, dtype=gout.dtype)
         for i, j, off in taps:
             gw[:, 0, i, j] = np.einsum("cl,cl->c", grid, xp[:, off:off + run])
         return gw

@@ -57,7 +57,7 @@ def run_benchmark(variant: str, seed: int, benchmark_data, epochs=BENCH_EPOCHS,
     net = ToyPdcNet(NetConfig(variant=variant, alpha_mode=alpha_mode,
                               alpha_value=alpha_value, **BENCH_NET),
                     rng=np.random.default_rng(seed))
-    train(net, train_s, None, TrainConfig(epochs=epochs, seed=seed))
+    train(net, train_s, TrainConfig(epochs=epochs, seed=seed))
     _, miou, _ = evaluate(net, test_s)
     return miou
 

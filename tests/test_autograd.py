@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -150,6 +151,17 @@ def test_gradcheck_identity_zero_error():
     x = ag.parameter(np.random.default_rng(5).standard_normal((1, 1, 3, 3)))
     report = ag.gradcheck(lambda: ag.vsum(x), {"x": x})
     assert report.errors["x"] <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gradcheck_fails_a_non_finite_analytic_gradient(bad):
+    x = ag.parameter(np.array([1.0, 2.0]))
+
+    def f():  # sum(x), whose rule gets the first entry wrong
+        return ag.Var(x.value.sum(), (x,), lambda g: (np.array([bad, 1.0]) * g,))
+
+    report = ag.gradcheck(f, {"x": x})
+    assert report.errors == {"x": math.inf} and not report.passed()
 
 
 def test_gradcheck_sampling_without_rng_is_refused():

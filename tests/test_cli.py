@@ -125,22 +125,12 @@ def test_bench_runs_and_reports_mac_advantage(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "16", "--channels", "4",
                        "--reps", "1")
     assert code == 0
+    assert out.splitlines()[0] == f"bench channels=4 malloc={pdconv.MALLOC}"
+    if platform.libc_ver()[0] == "glibc":
+        assert pdconv.MALLOC == "fixed"
     assert "clk/21x21 MACs" in out
     for op in ("conv2d", "conv3x3", "clk", "pdc", "cpdc"):
         assert any(line.startswith(op) for line in out.splitlines())
-
-
-def test_bench_header_says_when_thread_cap_is_ignored(capsys, monkeypatch):
-    monkeypatch.setenv("PDCONV_THREADS", "4")
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    code, out, _ = run(capsys, "bench", "--sizes", "8", "--channels", "2",
-                       "--reps", "1")
-    assert code == 0
-    assert out.splitlines()[0] == ("bench channels=2 "
-                                   "threads=4 (ignored: threadpoolctl not installed) "
-                                   f"malloc={pdconv.MALLOC}")
-    if platform.libc_ver()[0] == "glibc":
-        assert pdconv.MALLOC == "fixed"
 
 
 def test_bench_pdc_macs_are_one_depthwise_5x5_conv(capsys):
@@ -214,6 +204,15 @@ class TestGenCommand:
         code, _, err = run(capsys, "gen", "--out", str(out), "--count", "1", "--seed", "0")
         assert code == 2 and err == f"error: File exists: {out}\n"
         assert out.read_text() == "keep"
+
+    def test_manifest_of_the_wrong_kind_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "d" / "manifest.json").mkdir(parents=True)
+        manifest = str(tmp_path / "d" / "manifest.json")
+        code, _, err = run(capsys, "gen", "--out", str(tmp_path / "d"), "--count", "1",
+                           "--seed", "0")
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert manifest in err and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_zero_count_writes_an_empty_dataset(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -13,7 +13,8 @@ import pytest
 import pdconv
 from pdconv.errors import ConfigurationError, DataError, FormatError, TrainingDiverged
 from pdconv.metrics import ConfusionMatrix, metrics
-from pdconv.network import (NetConfig, SgdState, ToyPdcNet, TrainConfig,
+from pdconv import network
+from pdconv.network import (EVAL_BATCH, NetConfig, SgdState, ToyPdcNet, TrainConfig,
                             evaluate, make_batch, normalize_depth, poly_lr, train)
 from pdconv.pdtio import write_checkpoint
 from pdconv.scenes import (DEPTH_PAIR, SceneConfig, gen_scene, load_dataset,
@@ -386,8 +387,8 @@ class TestNetwork:
 
     def test_evaluate_matches_direct_metrics(self):
         net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(4))
-        samples, (rgb, depth, labels) = small_batch(n=3)
-        pix_acc, miou, _ = evaluate(net, samples, batch_size=2)
+        samples, (rgb, depth, labels) = small_batch(n=EVAL_BATCH + 1)  # two batches
+        pix_acc, miou, _ = evaluate(net, samples)
         preds = np.argmax(net.forward(rgb, depth).value, axis=1)
         want_acc, want_miou, _ = metrics(preds, labels, 3)
         assert pix_acc == pytest.approx(want_acc)
@@ -445,16 +446,27 @@ class TestTraining:
         assert p.value[0] == 2.0
 
     def test_short_training_reduces_loss_deterministically(self):
-        samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(12)]
+        samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(9)]  # 8 train, 1 val
         histories = []
         for _ in range(2):
             net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(5))
             hyper = TrainConfig(epochs=3, batch_size=4, seed=0)
-            histories.append(train(net, samples[:8], samples[8:], hyper))
+            histories.append(train(net, samples, hyper))
         h1, h2 = histories
         assert [r["loss"] for r in h1] == [r["loss"] for r in h2]
         assert h1[-1]["loss"] < h1[0]["loss"]
         assert len(h1) == 3 and h1[-1]["iter"] == 6
+
+    @pytest.mark.parametrize("count", [3, 12])
+    def test_each_epoch_evaluates_the_tail_split(self, count, monkeypatch):
+        samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(count)]
+        seen = []
+        monkeypatch.setattr(network, "evaluate",
+                            lambda net, val: seen.append(val) or (0.0, 0.0, None))
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(5))
+        train(net, samples, TrainConfig(epochs=2, batch_size=4, val_fraction=0.25, seed=0))
+        tail = samples[-max(1, int(count * 0.25)):]
+        assert [[id(s) for s in val] for val in seen] == [[id(s) for s in tail]] * 2
 
     def test_previous_step_tape_is_freed_before_next_forward(self, monkeypatch):
         samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(7)]
@@ -471,7 +483,7 @@ class TestTraining:
             return logits
 
         monkeypatch.setattr(net, "forward", probe)
-        train(net, samples[:6], samples[6:], TrainConfig(epochs=2, batch_size=2, seed=0))
+        train(net, samples, TrainConfig(epochs=2, batch_size=2, seed=0))
         # 3 steps and 1 validation forward per epoch: 8 forward passes
         assert alive == [False] * 7
 
@@ -489,13 +501,13 @@ class TestTraining:
         samples = [gen_scene(300 + i, SMALL_SCENES) for i in range(count)]
         net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0))
         with pytest.raises(ConfigurationError, match="empty"):
-            train(net, samples, None, TrainConfig(epochs=1, batch_size=2))
+            train(net, samples, TrainConfig(epochs=1, batch_size=2))
 
     def test_divergence_reports_iteration(self):
-        samples = [gen_scene(200 + i, SMALL_SCENES) for i in range(4)]
+        samples = [gen_scene(200 + i, SMALL_SCENES) for i in range(3)]
         net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(6))
         net.stem_rgb.gamma.value[:] = np.nan  # poisons every logit
         hyper = TrainConfig(epochs=1, batch_size=2, seed=0)
         with pytest.raises(TrainingDiverged) as exc:
-            train(net, samples[:2], samples[2:], hyper)
+            train(net, samples, hyper)
         assert exc.value.iteration == 0

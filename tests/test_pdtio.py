@@ -1,3 +1,6 @@
+import os
+import pathlib
+import stat
 import struct
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdconv
 from pdconv import pdtio, scenes
 from pdconv.errors import DimensionError, FormatError
 
@@ -67,6 +71,25 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in tensors.items():
         assert back[name].tobytes() == arr.tobytes()
         assert back[name].dtype == arr.dtype
+
+
+def test_written_files_get_the_mode_the_umask_leaves(tmp_path):
+    old = os.umask(0o027)
+    try:
+        pdtio.write_pdt(str(tmp_path / "a.pdt"), np.zeros(2, np.float32))
+        pdtio.write_checkpoint(str(tmp_path / "b.pdck"), {"w": np.zeros(2, np.float32)})
+        scenes.save_dataset(str(tmp_path / "d"), 0, 0, scenes.SceneConfig())
+    finally:
+        os.umask(old)
+    for path in (tmp_path / "a.pdt", tmp_path / "b.pdck", tmp_path / "d" / "manifest.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027, path.name
+
+
+def test_only_pdtio_replaces_files():
+    # every atomic write goes through pdtio.atomic_write
+    src = pathlib.Path(pdconv.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "os.replace" in p.read_text())
+    assert users == ["pdtio.py"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
