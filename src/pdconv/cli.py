@@ -26,7 +26,7 @@ from .config import load_run_config
 from .errors import ConfigurationError, PdconvError, TrainingDiverged
 from .network import VARIANTS, ToyPdcNet, evaluate, train
 from .pdc import alpha_effective, equivalence_deviation, make_pdc_layer, pdc_forward
-from .pdtio import write_pdt
+from .pdtio import check_writable, write_pdt
 from .scenes import SceneConfig, load_dataset, save_dataset
 
 EXIT_OK = 0
@@ -142,6 +142,7 @@ def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else run_cfg.seed
     hyper = dataclasses.replace(run_cfg.training, seed=seed)
     net = _net_from_config(run_cfg, manifest, args.variant, seed)
+    check_writable(args.out)
     log_file = open(args.log, "w") if args.log else None
     try:
         def log_fn(record):

@@ -1,10 +1,12 @@
 """Cascade large-kernel operator, its parallel-mode baseline, the composed
 difference-conv variant used on the RGB branch, and receptive-field analysis.
 
-The cascade stacks a dense depthwise 5x5 (dilation 1) and a sparse depthwise
-7x7 (dilation 3) followed by a 1x1 mix; the dense stage fills the dilation
-holes of the sparse one, so the composed support is a solid square at a small
-fraction of the multiply count of one equally sized kernel.
+CPDC stacks two difference convs, a dense depthwise 5x5 (dilation 1) and a
+sparse depthwise 7x7 (dilation 3); the dense stage fills the dilation holes
+of the sparse one, so the composed support is a solid square at a small
+fraction of the multiply count of one equally sized kernel.  At blend 0 a
+difference conv is the plain depthwise conv, so CLK is the CPDC cascade with
+both blends fixed at 0, followed by a 1x1 mix.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .errors import ConfigurationError
-from .pdc import PdcLayer, _check_channels, init_weights, make_pdc_layer, pdc_forward
+from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
 
 LOCAL_KERNEL = (5, 5)
 LOCAL_DILATION = 1
@@ -28,50 +30,34 @@ RF_MODES = ("single5", "single7d3", "cascade", "parallel", "cpdc")
 
 @dataclass
 class ClkLayer:
-    """Depthwise 5x5 d1 -> depthwise 7x7 d3 -> pointwise 1x1."""
+    """Depthwise 5x5 d1 -> depthwise 7x7 d3 (the CPDC cascade at blend 0) -> 1x1."""
 
-    w_local: ag.Var
-    w_long: ag.Var
+    cascade: CpdcLayer
     pw_w: ag.Var
     pw_b: ag.Var
-    spec_local: T.ConvSpec
-    spec_long: T.ConvSpec
-
-    @property
-    def channels(self) -> int:
-        return self.w_local.value.shape[0]
 
     def parameters(self, prefix: str = "clk") -> dict[str, ag.Var]:
-        return {f"{prefix}.dw_local": self.w_local, f"{prefix}.dw_long": self.w_long,
+        # the fixed blends are constants, so the stages' alphas are not listed
+        return {f"{prefix}.dw_local": self.cascade.stage_local.weights,
+                f"{prefix}.dw_long": self.cascade.stage_long.weights,
                 f"{prefix}.pw_w": self.pw_w, f"{prefix}.pw_b": self.pw_b}
 
 
 def make_clk_layer(channels: int, rng: np.random.Generator, dtype=np.float32) -> ClkLayer:
-    return ClkLayer(
-        w_local=ag.parameter(init_weights(rng, (channels, 1) + LOCAL_KERNEL, dtype)),
-        w_long=ag.parameter(init_weights(rng, (channels, 1) + LONG_KERNEL, dtype)),
-        pw_w=ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype)),
-        pw_b=ag.parameter(np.zeros(channels, dtype=dtype)),
-        spec_local=T.depthwise_spec(channels, LOCAL_KERNEL, LOCAL_DILATION),
-        spec_long=T.depthwise_spec(channels, LONG_KERNEL, LONG_DILATION),
-    )
+    return ClkLayer(make_cpdc_layer(channels, rng, dtype, alpha_fixed=0.0, with_gate=False),
+                    ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype)),
+                    ag.parameter(np.zeros(channels, dtype=dtype)))
 
 
 def clk_forward(x, layer: ClkLayer) -> ag.Var:
     """Cascade mode: pointwise(long(local(x)))."""
-    x = ag.as_var(x)
-    _check_channels(x, layer.channels)
-    y = ag.conv(x, layer.w_local, layer.spec_local)
-    y = ag.conv(y, layer.w_long, layer.spec_long)
-    return ag.pointwise(y, layer.pw_w, layer.pw_b)
+    return ag.pointwise(cpdc_raw(x, layer.cascade), layer.pw_w, layer.pw_b)
 
 
 def parallel_forward(x, layer: ClkLayer) -> ag.Var:
     """Parallel baseline: pointwise(local(x) + long(x))."""
-    x = ag.as_var(x)
-    _check_channels(x, layer.channels)
-    y = ag.add(ag.conv(x, layer.w_local, layer.spec_local),
-               ag.conv(x, layer.w_long, layer.spec_long))
+    y = ag.add(pdc_forward(x, layer.cascade.stage_local),
+               pdc_forward(x, layer.cascade.stage_long))
     return ag.pointwise(y, layer.pw_w, layer.pw_b)
 
 
@@ -156,14 +142,6 @@ def _indicator(kernel: tuple[int, int], dilation: int) -> np.ndarray:
     return grid
 
 
-def _embed_center(small: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    out = np.zeros(shape, dtype=np.int64)
-    oh = (shape[0] - small.shape[0]) // 2
-    ow = (shape[1] - small.shape[1]) // 2
-    out[oh : oh + small.shape[0], ow : ow + small.shape[1]] = small
-    return out
-
-
 def analytic_support(mode: str) -> np.ndarray:
     """Usage counts from convolving the stage kernels' indicator grids."""
     ind5 = _indicator(LOCAL_KERNEL, LOCAL_DILATION)
@@ -178,7 +156,7 @@ def analytic_support(mode: str) -> np.ndarray:
             full[i : i + ind7.shape[0], j : j + ind7.shape[1]] += v * ind7
         return full
     if mode == "parallel":
-        return _embed_center(ind5, ind7.shape) + ind7
+        return np.pad(ind5, (ind7.shape[0] - ind5.shape[0]) // 2) + ind7  # centered
     raise ConfigurationError(f"unknown receptive-field mode {mode!r}; choose from {RF_MODES}")
 
 
@@ -188,29 +166,25 @@ def _crop_to_support(grid: np.ndarray) -> np.ndarray:
 
 
 def receptive_field(mode: str) -> SupportMap:
-    """Empirical support via gradient probing of an all-ones probe network.
+    """Empirical support via gradient probing of the operators themselves,
+    run on a one-channel CLK layer whose weights are all 1.
 
     The output gradient is a unit impulse at the center pixel; the input
-    gradient magnitudes are the usage counts.  The cpdc mode probes the
-    composed conv path (blend coefficient 0), since the blend and gate do
-    not change which pixels are reachable.
+    gradient magnitudes are the usage counts.  The cpdc mode probes cpdc_raw
+    at the layer's blend 0, since the blend and gate do not change which
+    pixels are reachable.
     """
-    analytic = analytic_support(mode)  # also validates the mode
-    half = max(analytic.shape) // 2
-    size = 2 * half + 1 + 8  # odd, with a margin so padding never clips the support
+    # odd, as the support is, with a margin so padding never clips the support
+    size = max(analytic_support(mode).shape) + 8  # also validates the mode
     x = ag.parameter(np.zeros((1, 1, size, size), dtype=np.float64))
-    ones5 = ag.Var(np.ones((1, 1) + LOCAL_KERNEL, dtype=np.float64))
-    ones7 = ag.Var(np.ones((1, 1) + LONG_KERNEL, dtype=np.float64))
-    spec5 = T.depthwise_spec(1, LOCAL_KERNEL, LOCAL_DILATION)
-    spec7 = T.depthwise_spec(1, LONG_KERNEL, LONG_DILATION)
-    if mode == "single5":
-        y = ag.conv(x, ones5, spec5)
-    elif mode == "single7d3":
-        y = ag.conv(x, ones7, spec7)
-    elif mode in ("cascade", "cpdc"):
-        y = ag.conv(ag.conv(x, ones5, spec5), ones7, spec7)
-    else:  # parallel
-        y = ag.add(ag.conv(x, ones5, spec5), ag.conv(x, ones7, spec7))
+    layer = make_clk_layer(1, np.random.default_rng(0), np.float64)
+    for p in layer.parameters().values():
+        p.value[...] = 1.0
+    op, arg = {"single5": (pdc_forward, layer.cascade.stage_local),
+               "single7d3": (pdc_forward, layer.cascade.stage_long),
+               "cascade": (clk_forward, layer), "parallel": (parallel_forward, layer),
+               "cpdc": (cpdc_raw, layer.cascade)}[mode]
+    y = op(x, arg)
     impulse = np.zeros_like(y.value)
     impulse[0, 0, size // 2, size // 2] = 1.0
     loss = ag.vsum(ag.mul(y, ag.Var(impulse)))

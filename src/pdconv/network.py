@@ -361,14 +361,17 @@ class TrainConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (self.lr > 0) or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("lr, epochs, and batch_size must be positive")
-        if not (0 <= self.momentum < 1) or not (self.weight_decay >= 0):
-            raise ConfigurationError("momentum must be in [0,1), weight_decay non-negative")
-        if not (0 <= self.val_fraction < 1):
-            raise ConfigurationError(f"val_fraction must be in [0,1), got {self.val_fraction}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        for name, ok, want in (
+                ("lr", 0 < self.lr < math.inf, "positive and finite"),
+                ("momentum", 0 <= self.momentum < 1, "in [0,1)"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf, "non-negative and finite"),
+                ("poly_power", 0 <= self.poly_power < math.inf, "non-negative and finite"),
+                ("epochs", self.epochs >= 1, "positive"),
+                ("batch_size", self.batch_size >= 1, "positive"),
+                ("val_fraction", 0 <= self.val_fraction < 1, "in [0,1)"),
+                ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise ConfigurationError(f"{name} must be {want}, got {getattr(self, name)}")
 
 
 def poly_lr(lr0: float, iteration: int, max_iterations: int, power: float = 0.9) -> float:

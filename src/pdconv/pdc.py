@@ -77,11 +77,6 @@ def alpha_effective(layer: PdcLayer) -> ag.Var:
     return ag.sigmoid(layer.alpha_raw)
 
 
-def _check_channels(x: ag.Var, channels: int) -> None:
-    if x.value.shape[1] != channels:
-        raise DimensionError(f"input axis C is {x.value.shape[1]}, layer expects {channels}")
-
-
 def _fold_center(w: ag.Var, a: ag.Var) -> ag.Var:
     """The kernel w - a * sum(w) * delta_center of a depthwise weight
     (C, 1, kh, kw) and a scalar a, with sum(w) taken per channel."""
@@ -113,7 +108,9 @@ def pdc_forward(x, layer: PdcLayer) -> ag.Var:
     if layer.mode not in ("rewritten", "definitional"):
         raise ConfigurationError(f"unknown PDC mode {layer.mode!r}")
     x = ag.as_var(x)
-    _check_channels(x, layer.channels)
+    if x.value.shape[1] != layer.channels:
+        raise DimensionError(f"input axis C is {x.value.shape[1]}, "
+                             f"layer expects {layer.channels}")
     a = alpha_effective(layer)
     if layer.mode == "rewritten":
         return ag.conv(x, _fold_center(layer.weights, a), layer.spec)

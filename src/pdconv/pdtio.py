@@ -13,8 +13,10 @@ truncated file that parses as valid.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -55,6 +57,17 @@ def atomic_write(path: str, payload: bytes) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError atomic_write would for a path of the wrong kind, writing nothing."""
+    try:
+        if not stat.S_ISDIR(os.stat(os.path.dirname(os.path.abspath(path))).st_mode):
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
 
 def _encode_tensor(arr: np.ndarray) -> bytes:

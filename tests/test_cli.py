@@ -299,6 +299,29 @@ class TestTrainEvalFlow:
                            "--out", str(tmp_path / "net.pdck"))
         assert code == 3 and "missing file" in err
 
+    @pytest.mark.parametrize("out, want_code, problem", [
+        ("nodir/net.pdck", 3, "missing file"),
+        ("adir", 2, "Is a directory:"),
+        ("afile/net.pdck", 2, "Not a directory:"),
+    ], ids=["missing dir", "a dir", "under a file"])
+    def test_bad_out_is_refused_before_training(self, out, want_code, problem,
+                                                small_dataset, config_path, tmp_path,
+                                                capsys):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("kept")
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / out)
+        log = str(tmp_path / "train.jsonl")
+        code, stdout, err = run(capsys, "train", "--config", config_path,
+                                "--data", small_dataset, "--out", out, "--log", log)
+        assert code == want_code
+        assert err == f"error: {problem} {out}\n"
+        assert "epoch" not in stdout
+        # nothing was created, the log included, and the file was not overwritten
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "adir") == []
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_missing_checkpoint(self, small_dataset, capsys):
         code, _, _ = run(capsys, "eval", "--ckpt", "/does/not/exist.pdck",
                          "--data", small_dataset)
@@ -393,6 +416,14 @@ MALFORMED_CONFIGS = [
     ({"training": {"epochs": 1.5}}, "training.epochs must be int"),
     ({"model": [1]}, "model must be a JSON object"),
     ({"training": {"val_fraction": 2}}, "val_fraction must be in [0,1)"),
+    ({"training": {"lr": float("inf")}}, "lr must be positive and finite, got inf"),
+    ({"training": {"weight_decay": float("inf")}},
+     "weight_decay must be non-negative and finite, got inf"),
+    ({"training": {"poly_power": float("nan")}},
+     "poly_power must be non-negative and finite, got nan"),
+    ({"training": {"poly_power": -1}}, "poly_power must be non-negative and finite, got -1.0"),
+    ({"training": {"poly_power": float("inf")}},
+     "poly_power must be non-negative and finite, got inf"),
     ({"generator": {"depth_gap": [0.25, "x"]}}, "unknown top-level key(s) ['generator']"),
 ]
 

@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from pdconv import autograd as ag
+from pdconv import clk
 from pdconv import tensor as T
 from pdconv.clk import (RF_MODES, analytic_support, clk_flops, clk_forward,
                         cpdc_forward, cpdc_raw, large_kernel_flops, make_clk_layer,
                         make_cpdc_layer, parallel_forward, receptive_field)
-from pdconv.pdc import pdc_forward
+from pdconv.errors import DimensionError
+from pdconv.pdc import init_weights, pdc_forward
 
 from naive import naive_indicator_convolution
 
 
 def identity_clk(channels=2):
     layer = make_clk_layer(channels, rng=np.random.default_rng(0), dtype=np.float64)
-    layer.w_local.value[:] = 0.0
-    layer.w_local.value[:, 0, 2, 2] = 1.0
-    layer.w_long.value[:] = 0.0
-    layer.w_long.value[:, 0, 3, 3] = 1.0
+    layer.cascade.stage_local.weights.value[:] = 0.0
+    layer.cascade.stage_local.weights.value[:, 0, 2, 2] = 1.0
+    layer.cascade.stage_long.weights.value[:] = 0.0
+    layer.cascade.stage_long.weights.value[:, 0, 3, 3] = 1.0
     layer.pw_w.value[:] = np.eye(channels).reshape(channels, channels, 1, 1)
     layer.pw_b.value[:] = 0.0
     return layer
@@ -28,13 +30,26 @@ def test_identity_kernels_identity():
     np.testing.assert_allclose(clk_forward(x, layer).value, x, atol=1e-12)
 
 
+def test_clk_is_the_cpdc_cascade_at_blend_zero():
+    layer = make_clk_layer(2, rng=np.random.default_rng(0))
+    stages = (layer.cascade.stage_local, layer.cascade.stage_long)
+    assert [stage.alpha_fixed for stage in stages] == [0.0, 0.0]
+    assert layer.cascade.gate_w is None
+    params = layer.parameters()
+    assert list(params) == ["clk.dw_local", "clk.dw_long", "clk.pw_w", "clk.pw_b"]
+    # the weights are drawn in the order dw_local, dw_long, pw_w
+    rng = np.random.default_rng(0)
+    for p, shape in zip(params.values(), [(2, 1, 5, 5), (2, 1, 7, 7), (2, 2, 1, 1)]):
+        np.testing.assert_array_equal(p.value, init_weights(rng, shape, np.float32))
+
+
 def test_cascade_matches_sequential_convs():
     rng = np.random.default_rng(2)
     layer = make_clk_layer(2, rng=rng, dtype=np.float64)
     x = rng.standard_normal((1, 2, 9, 9))
     got = clk_forward(x, layer).value
-    y = T.conv2d(x, layer.w_local.value, layer.spec_local)
-    y = T.conv2d(y, layer.w_long.value, layer.spec_long)
+    y = T.conv2d(x, layer.cascade.stage_local.weights.value, layer.cascade.stage_local.spec)
+    y = T.conv2d(y, layer.cascade.stage_long.weights.value, layer.cascade.stage_long.spec)
     want = T.conv2d(y, layer.pw_w.value, T.pointwise_spec(), layer.pw_b.value)
     np.testing.assert_array_equal(got, want)
 
@@ -50,10 +65,17 @@ def test_parallel_matches_sum_of_convs():
     layer = make_clk_layer(2, rng=rng, dtype=np.float64)
     x = rng.standard_normal((1, 2, 9, 9))
     got = parallel_forward(x, layer).value
-    y = (T.conv2d(x, layer.w_local.value, layer.spec_local)
-         + T.conv2d(x, layer.w_long.value, layer.spec_long))
+    y = (T.conv2d(x, layer.cascade.stage_local.weights.value, layer.cascade.stage_local.spec)
+         + T.conv2d(x, layer.cascade.stage_long.weights.value, layer.cascade.stage_long.spec))
     want = T.conv2d(y, layer.pw_w.value, T.pointwise_spec(), layer.pw_b.value)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("forward", [clk_forward, parallel_forward])
+def test_wrong_channel_count_is_refused(forward):
+    layer = make_clk_layer(2, rng=np.random.default_rng(0), dtype=np.float64)
+    with pytest.raises(DimensionError, match="input axis C is 3, layer expects 2"):
+        forward(np.zeros((1, 3, 8, 8)), layer)
 
 
 class TestCpdc:
@@ -104,6 +126,20 @@ class TestReceptiveField:
     def test_empirical_equals_analytic(self, mode):
         np.testing.assert_array_equal(receptive_field(mode).counts,
                                       analytic_support(mode))
+
+    @pytest.mark.parametrize("mode", RF_MODES)
+    def test_probe_runs_the_library_operators(self, mode, monkeypatch):
+        calls = []
+
+        def counted(x, layer):
+            calls.append(layer.spec.kernel)
+            return pdc_forward(x, layer)
+
+        monkeypatch.setattr(clk, "pdc_forward", counted)
+        np.testing.assert_array_equal(receptive_field(mode).counts,
+                                      analytic_support(mode))
+        want = {"single5": [(5, 5)], "single7d3": [(7, 7)]}.get(mode, [(5, 5), (7, 7)])
+        assert calls == want
 
     def test_analytic_matches_naive_indicator_convolution(self):
         ind5 = np.ones((5, 5), dtype=np.int64)

@@ -491,9 +491,11 @@ class TestTraining:
         {"lr": 0.0}, {"lr": float("nan")}, {"epochs": 0}, {"batch_size": 0},
         {"momentum": 1.0}, {"weight_decay": -1e-4}, {"weight_decay": float("nan")},
         {"val_fraction": 1.0}, {"val_fraction": -0.1}, {"seed": -1},
+        {"lr": float("inf")}, {"weight_decay": float("inf")}, {"poly_power": float("nan")},
+        {"poly_power": -1.0}, {"poly_power": float("inf")},
     ], ids=repr)
     def test_invalid_train_config_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=f"^{next(iter(bad))} must be"):
             TrainConfig(**bad)
 
     @pytest.mark.parametrize("count", [0, 1])
