@@ -13,6 +13,7 @@ differentiate again, build the graph again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,22 @@ from .errors import ContractError, DataError, DimensionError, NumericError
 
 GRADCHECK_STEP = 1e-5  # central-difference step of gradcheck
 GRADCHECK_TOL = 1e-4  # largest relative error a gradcheck passes with
+# numpy's ufunc buffer, in elements, while the net computes: at numpy's
+# default 8192, per-channel broadcasts on small planes take a slow path
+UFUNC_BUFSIZE = 1024
+
+
+def small_ufunc_buffer(fn):
+    """``fn`` run with numpy's ufunc buffer at UFUNC_BUFSIZE elements; the
+    caller's (per-thread) size is restored on return and on raise."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        old = np.setbufsize(UFUNC_BUFSIZE)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            np.setbufsize(old)
+    return run
 
 
 class Var:
@@ -97,6 +114,7 @@ def _run_rule(node: Var) -> None:
             parent.grad = parent.grad + g
 
 
+@small_ufunc_buffer
 def backward(root: Var) -> None:
     """Populate .grad on every leaf reachable from a scalar-valued root.
 

@@ -110,6 +110,7 @@ def cmd_bench(args) -> int:
              clk_flops(c, (size, size)) + c * size * size),
         ]
         for name, fn, macs in cases:
+            fn = ag.small_ufunc_buffer(fn)  # as the net runs the operators
             fn()  # warm up
             t0 = time.perf_counter()
             for _ in range(reps):

@@ -250,6 +250,7 @@ class ToyPdcNet:
             return cpdc_raw(x, layer)
         return pdc_forward(x, layer)
 
+    @ag.small_ufunc_buffer
     def forward(self, rgb, depth) -> ag.Var:
         # plain image arrays reach the stem convs as constants: no input gradient
         n, _, h, w = rgb.shape

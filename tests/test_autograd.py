@@ -104,6 +104,30 @@ def test_second_backward_on_a_consumed_graph_raises(second_root):
         assert [x.grad.tobytes(), w.grad.tobytes()] == first
 
 
+def test_backward_runs_under_the_small_buffer_and_restores_the_callers(caller_bufsize):
+    x = ag.parameter(np.arange(3.0))
+    seen = []
+    # x's value again, through a rule that records the buffer size it runs under
+    probe = ag.Var(x.value, (x,), lambda g: seen.append(np.getbufsize()) or (g,))
+    ag.backward(ag.vsum(probe))
+    assert seen == [ag.UFUNC_BUFSIZE] and ag.UFUNC_BUFSIZE != caller_bufsize
+    assert np.getbufsize() == caller_bufsize
+    np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_backward_restores_the_callers_buffer_when_it_raises(caller_bufsize, monkeypatch):
+    seen = []
+    consumed = ag._consumed
+    monkeypatch.setattr(ag, "_consumed", lambda g: seen.append(np.getbufsize()) or consumed(g))
+    loss = ag.vsum(ag.parameter(np.arange(3.0)))
+    ag.backward(loss)
+    assert seen == [] and np.getbufsize() == caller_bufsize
+    with pytest.raises(ContractError, match="consumed by an earlier backward"):
+        ag.backward(loss)
+    assert seen == [ag.UFUNC_BUFSIZE]  # the raise came from inside the buffer
+    assert np.getbufsize() == caller_bufsize
+
+
 def test_backward_frees_an_interior_value_nobody_holds():
     rng = np.random.default_rng(11)
     x = ag.parameter(rng.standard_normal((2, 3, 8, 8)))

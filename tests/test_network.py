@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import pdconv
-from pdconv.errors import ConfigurationError, DataError, FormatError, TrainingDiverged
+from pdconv.errors import (ConfigurationError, ContractError, DataError, DimensionError,
+                           FormatError, TrainingDiverged)
 from pdconv.metrics import ConfusionMatrix, metrics
 from pdconv import network
 from pdconv.network import (EVAL_BATCH, NetConfig, SgdState, ToyPdcNet, TrainConfig,
@@ -513,3 +514,87 @@ class TestTraining:
         with pytest.raises(TrainingDiverged) as exc:
             train(net, samples, hyper)
         assert exc.value.iteration == 0
+
+
+# --- numpy's ufunc buffer -------------------------------------------------------
+
+@pytest.fixture
+def norm_act_seen(monkeypatch):
+    """(pass, np.getbufsize()) per ag.norm_act call and per run of its rule."""
+    seen = []
+    real = ag.norm_act
+
+    def probe(*args):
+        out = real(*args)
+        rule = out._backward
+        out._backward = lambda g: seen.append(("backward", np.getbufsize())) or rule(g)
+        seen.append(("forward", np.getbufsize()))
+        return out
+
+    monkeypatch.setattr(ag, "norm_act", probe)
+    return seen
+
+
+class TestUfuncBuffer:
+    def test_forward_and_backward_run_under_it_and_restore_the_callers(
+            self, caller_bufsize, norm_act_seen):
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0))
+        _, (rgb, depth, labels) = small_batch()
+        loss = ag.cross_entropy(net.forward(rgb, depth), labels)
+        assert np.getbufsize() == caller_bufsize
+        assert set(norm_act_seen) == {("forward", ag.UFUNC_BUFSIZE)}
+        ag.backward(loss)
+        assert np.getbufsize() == caller_bufsize
+        assert set(norm_act_seen) == {("forward", ag.UFUNC_BUFSIZE),
+                                      ("backward", ag.UFUNC_BUFSIZE)}
+        assert ag.UFUNC_BUFSIZE != caller_bufsize
+
+    def test_train_and_evaluate_leave_the_callers(self, caller_bufsize, norm_act_seen):
+        samples = [gen_scene(100 + i, SMALL_SCENES) for i in range(3)]  # 2 train, 1 val
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(5))
+        train(net, samples, TrainConfig(epochs=1, batch_size=2, seed=0))
+        assert np.getbufsize() == caller_bufsize
+        evaluate(net, samples)
+        assert np.getbufsize() == caller_bufsize
+        assert {size for _, size in norm_act_seen} == {ag.UFUNC_BUFSIZE}
+        assert {kind for kind, _ in norm_act_seen} == {"forward", "backward"}
+
+    def test_a_raising_forward_restores_the_callers(self, caller_bufsize, norm_act_seen):
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0))
+        _, (rgb, depth, _) = small_batch()
+        with pytest.raises(DimensionError, match="for input C=2"):
+            net.forward(rgb, np.concatenate([depth, depth], axis=1))
+        assert norm_act_seen == [("forward", ag.UFUNC_BUFSIZE)]  # the RGB stem ran
+        assert np.getbufsize() == caller_bufsize
+
+    def test_a_raising_backward_restores_the_callers(self, caller_bufsize, norm_act_seen):
+        net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0))
+        _, (rgb, depth, labels) = small_batch()
+        loss = ag.cross_entropy(net.forward(rgb, depth), labels)
+        ag.backward(loss)
+        with pytest.raises(ContractError, match="consumed by an earlier backward"):
+            ag.backward(loss)
+        assert np.getbufsize() == caller_bufsize
+        assert {size for _, size in norm_act_seen} == {ag.UFUNC_BUFSIZE}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", network.VARIANTS)
+    def test_outputs_do_not_depend_on_its_size(self, variant, dtype, monkeypatch):
+        # default sizes, so the 48x48 planes and their (2, 3) reductions span
+        # several 1024-element buffers
+        _, (rgb, depth, labels) = small_batch(n=2, cfg=SceneConfig())
+        rgb, depth = rgb.astype(dtype), depth.astype(dtype)
+
+        def run():
+            net = ToyPdcNet(NetConfig(variant=variant), rng=np.random.default_rng(0),
+                            dtype=dtype)
+            logits = net.forward(rgb, depth)
+            loss = ag.cross_entropy(logits, labels)
+            ag.backward(loss)
+            return [logits.value.tobytes(), loss.value.tobytes()] + [
+                b"none" if p.grad is None else p.grad.tobytes()
+                for p in net.parameters().values()]
+
+        shipped = run()
+        monkeypatch.setattr(ag, "UFUNC_BUFSIZE", 8192)  # numpy's default
+        assert run() == shipped
