@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DataError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError
+from .metrics import check_labels
 
 GRADCHECK_STEP = 1e-5  # central-difference step of gradcheck
 GRADCHECK_TOL = 1e-4  # largest relative error a gradcheck passes with
@@ -326,19 +327,13 @@ def norm_act(y, gamma, beta, residual=None) -> Var:
 
 def cross_entropy(logits, labels: np.ndarray) -> Var:
     """Mean pixel-wise cross-entropy from raw logits (N,M,H,W) and integer
-    labels (N,H,W)."""
+    labels (N,H,W) in [0, M); any other label map is a DataError."""
     logits = as_var(logits)
     n, m, h, w = logits.value.shape
     labels = np.asarray(labels)
     if labels.shape != (n, h, w):
         raise DimensionError(f"labels shape {labels.shape} does not match logits {(n, h, w)}")
-    bad = (labels < 0) | (labels >= m)
-    if bad.any():
-        ni, hi, wi = (int(v[0]) for v in np.nonzero(bad))
-        raise DataError(
-            f"label {int(labels[ni, hi, wi])} out of range [0,{m}) at pixel "
-            f"(n={ni}, h={hi}, w={wi})"
-        )
+    check_labels(labels, m, "cross_entropy:")
     z = logits.value
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)

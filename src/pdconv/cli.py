@@ -52,7 +52,7 @@ def cmd_gradcheck(args) -> int:
             status = "ok" if err <= ag.GRADCHECK_TOL else "FAIL"
             print(f"gradcheck {op:<12s} {name:<24s} rel_err={err:.3e} "
                   f"h={ag.GRADCHECK_STEP:g} dtype={report.dtype} {status}")
-            failed |= err > ag.GRADCHECK_TOL
+        failed |= not report.passed()
     return EXIT_FAIL if failed else EXIT_OK
 
 

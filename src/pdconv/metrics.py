@@ -9,11 +9,19 @@ import numpy as np
 from .errors import DataError, DimensionError
 
 
-def _check_labels(arr: np.ndarray, m: int, name: str) -> None:
+def check_labels(labels, m: int, what: str) -> np.ndarray:
+    """``labels`` as an array, checked to hold integers in [0, m): the one label
+    rule of cross-entropy, the confusion matrix and the dataset reader.  A
+    non-integer dtype (bool included) or an out-of-range value is a DataError
+    whose message starts with ``what`` and names the first bad index."""
+    arr = np.asarray(labels)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"{what} labels must be of integer dtype, found {arr.dtype}")
     bad = (arr < 0) | (arr >= m)
     if bad.any():
-        coords = tuple(int(v[0]) for v in np.nonzero(bad))
-        raise DataError(f"{name} label {int(arr[coords])} out of range [0,{m}) at {coords}")
+        index = tuple(int(v[0]) for v in np.nonzero(bad))
+        raise DataError(f"{what} label {int(arr[index])} out of range [0,{m}) at {index}")
+    return arr
 
 
 @dataclass
@@ -24,11 +32,10 @@ class ConfusionMatrix:
 
     @classmethod
     def from_labels(cls, preds: np.ndarray, truth: np.ndarray, m: int) -> "ConfusionMatrix":
-        preds, truth = np.asarray(preds), np.asarray(truth)
+        preds = check_labels(preds, m, "from_labels: predicted")
+        truth = check_labels(truth, m, "from_labels: ground-truth")
         if preds.shape != truth.shape:
             raise DimensionError(f"preds shape {preds.shape} != truth shape {truth.shape}")
-        _check_labels(preds, m, "predicted")
-        _check_labels(truth, m, "ground-truth")
         flat = m * truth.reshape(-1).astype(np.int64) + preds.reshape(-1)
         counts = np.bincount(flat, minlength=m * m).reshape(m, m)
         return cls(counts)

@@ -183,14 +183,10 @@ class ToyPdcNet:
         alpha_init = math.log(4.0)
 
         def stage_op(kind: str, channels: int):
-            fixed = 0.0 if kind.endswith("0") else alpha_fixed
-            if kind.startswith("cpdc"):
-                return make_cpdc_layer(channels, rng=rng, dtype=dtype,
-                                       alpha_init=alpha_init,
-                                       alpha_fixed=fixed, with_gate=False)
-            return make_pdc_layer(channels, rng=rng, dtype=dtype,
-                                  alpha_init=alpha_init,
-                                  alpha_fixed=fixed, with_gate=False)
+            make = make_cpdc_layer if kind.startswith("cpdc") else make_pdc_layer
+            return make(channels, rng=rng, dtype=dtype, alpha_init=alpha_init,
+                        alpha_fixed=0.0 if kind.endswith("0") else alpha_fixed,
+                        with_gate=False)
 
         self.stem_rgb = make_conv_unit(3, ch[0], rng, dtype)
         self.stem_depth = make_conv_unit(1, ch[0], rng, dtype)
@@ -241,7 +237,7 @@ class ToyPdcNet:
     def decayable(self) -> set[str]:
         """Conv and gate weight names; scalars, biases, and affines are not decayed."""
         return {name for name, p in self.parameters().items()
-                if p.value.ndim == 4 and name.endswith(("w", ".dw"))}
+                if p.value.ndim == 4 and name.endswith("w")}
 
     # -- forward ------------------------------------------------------------
 

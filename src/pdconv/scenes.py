@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
+from .metrics import check_labels
 from .pdtio import atomic_write, read_pdt, write_pdt
 
 DEPTH_PAIR = (1, 2)  # (base region, offset region) of the depth-only pair
@@ -210,7 +211,9 @@ def _check_sample(path: str, arr: np.ndarray, shape: tuple[int, ...], kind: type
 
 
 def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
-    """Read a dataset directory; a malformed manifest, sample or label is a FormatError."""
+    """Read a dataset directory.  A malformed manifest or sample file (a label
+    file of the wrong shape or a non-integer dtype included) is a FormatError;
+    a label outside [0, classes) is a DataError."""
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -242,10 +245,6 @@ def load_dataset(directory: str) -> tuple[dict, list[SegSample]]:
                                     (".label.pdt", (h, w), np.integer)):
             arrays.append(read_pdt(stem + suffix))
             _check_sample(stem + suffix, arrays[-1], shape, kind)
-        labels = arrays[-1]
-        outside = labels[(labels < 0) | (labels >= classes)]
-        if outside.size:
-            raise FormatError(f"{stem}.label.pdt: label {int(outside[0])} out of range "
-                              f"[0,{classes})")
+        check_labels(arrays[-1], classes, f"{stem}.label.pdt:")
         samples.append(SegSample(*arrays))
     return manifest, samples

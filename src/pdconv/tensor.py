@@ -25,12 +25,12 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 
 
-def check_nchw(x: np.ndarray, name: str = "input") -> None:
+def check_nchw(x: np.ndarray) -> None:
     if x.ndim != 4:
-        raise DimensionError(f"{name} must be rank 4 (N,C,H,W), got rank {x.ndim}")
+        raise DimensionError(f"input must be rank 4 (N,C,H,W), got rank {x.ndim}")
     for axis, size in zip("NCHW", x.shape):
         if size < 1:
-            raise DimensionError(f"{name} axis {axis} must be >= 1, got {size}")
+            raise DimensionError(f"input axis {axis} must be >= 1, got {size}")
 
 
 @dataclass(frozen=True)

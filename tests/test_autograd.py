@@ -6,7 +6,7 @@ import pytest
 
 from pdconv import autograd as ag
 from pdconv import tensor as T
-from pdconv.errors import ContractError
+from pdconv.errors import ContractError, DataError
 
 
 def finite_difference(f, x, step=1e-5):
@@ -306,7 +306,8 @@ def test_cross_entropy_gradcheck():
 def test_cross_entropy_rejects_bad_label():
     logits = ag.Var(np.zeros((1, 2, 2, 2)))
     labels = np.array([[[0, 1], [1, 5]]])
-    with pytest.raises(Exception, match=r"h=1, w=1"):
+    with pytest.raises(DataError,
+                       match=r"cross_entropy: label 5 out of range \[0,2\) at \(0, 1, 1\)"):
         ag.cross_entropy(logits, labels)
 
 

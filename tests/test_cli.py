@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import pdconv
+from pdconv import checks
+from pdconv.autograd import GradReport
 from pdconv.cli import main
 from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
@@ -46,15 +49,17 @@ def config_path(tmp_path):
     return path
 
 
-def test_import_loads_no_scipy():
-    # a fresh process, so no other test's imports count
-    probe = ("import sys\nimport pdconv, pdconv.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_import_loads_only_numpy_and_stdlib():
+    # a fresh process, so no other test's imports count; `setup_s` in
+    # perfbench pays for every module the import pulls in
+    probe = ("import sys\nbefore = set(sys.modules)\nimport pdconv, pdconv.cli\n"
+             "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+             "print(sorted(added - set(sys.stdlib_module_names)))")
     src = os.path.dirname(os.path.dirname(pdconv.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "['numpy', 'pdconv']"
 
 
 class TestGradcheckCommand:
@@ -64,6 +69,12 @@ class TestGradcheckCommand:
         lines = [l for l in out.splitlines() if l.startswith("gradcheck")]
         assert lines and all(l.endswith("ok") for l in lines)
         assert any("alpha" in l for l in lines)
+
+    def test_non_finite_error_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "run_gradcheck",
+                            lambda op, seed: GradReport("float64", {"x": math.nan}))
+        code, out, _ = run(capsys, "gradcheck", "--op", "pdc")
+        assert code == 1 and out.rstrip().endswith("FAIL")
 
     def test_unknown_op_is_usage_error(self, capsys):
         code, out, err = run(capsys, "gradcheck", "--op", "nonsense")

@@ -17,7 +17,7 @@ from pdconv.metrics import ConfusionMatrix, metrics
 from pdconv import network
 from pdconv.network import (EVAL_BATCH, NetConfig, SgdState, ToyPdcNet, TrainConfig,
                             evaluate, make_batch, normalize_depth, poly_lr, train)
-from pdconv.pdtio import write_checkpoint
+from pdconv.pdtio import write_checkpoint, write_pdt
 from pdconv.scenes import (DEPTH_PAIR, SceneConfig, gen_scene, load_dataset,
                            save_dataset)
 
@@ -102,6 +102,62 @@ class TestMetrics:
         b = metrics(preds.reshape(-1)[order].reshape(12, 12),
                     truth.reshape(-1)[order].reshape(12, 12), 4)
         assert a[0] == b[0] and a[1] == pytest.approx(b[1], abs=1e-12)
+
+
+# --- the label rule ----------------------------------------------------------
+
+LABEL_PLANE = (16, 16)  # the smallest canvas gen_scene paints
+
+
+def _bad_label_map(case):
+    """A 3-class (1, 16, 16) label map that breaks the label rule at (0, 2, 1)."""
+    labels = np.zeros((1,) + LABEL_PLANE, dtype=np.int32)
+    if case == "float":
+        return labels.astype(np.float32)
+    labels[0, 2, 1] = {"negative": -1, "equal to m": 3}[case]
+    return labels
+
+
+def _load_with_label_map(labels, tmp_path):
+    save_dataset(str(tmp_path), 1, seed=0, cfg=SceneConfig(*LABEL_PLANE, classes=3))
+    write_pdt(str(tmp_path / "scene_00000.label.pdt"), labels[0])
+    return load_dataset(str(tmp_path))
+
+
+GOOD_LABELS = np.zeros((1,) + LABEL_PLANE, dtype=np.int32)
+# each entry point: its call on a label map, its message prefix, the bad index
+LABEL_ENTRY_POINTS = {
+    "cross_entropy": (lambda labels, _: ag.cross_entropy(np.zeros((1, 3) + LABEL_PLANE),
+                                                         labels),
+                      "cross_entropy:", "(0, 2, 1)"),
+    "from_labels preds": (lambda labels, _: ConfusionMatrix.from_labels(labels, GOOD_LABELS, 3),
+                          "from_labels: predicted", "(0, 2, 1)"),
+    "from_labels truth": (lambda labels, _: ConfusionMatrix.from_labels(GOOD_LABELS, labels, 3),
+                          "from_labels: ground-truth", "(0, 2, 1)"),
+    "load_dataset": (_load_with_label_map, "scene_00000.label.pdt:", "(2, 1)"),
+}
+
+
+# a label file of float dtype is a FormatError, checked with the file's shape
+# (tests/test_cli.py, "float labels")
+LABEL_CASES = [(entry, case) for entry in sorted(LABEL_ENTRY_POINTS)
+               for case in ("float", "negative", "equal to m")
+               if (entry, case) != ("load_dataset", "float")]
+
+
+@pytest.mark.parametrize("entry,case", LABEL_CASES)
+def test_label_rule_refuses_bad_maps(entry, case, tmp_path):
+    call, what, index = LABEL_ENTRY_POINTS[entry]
+    expected = {"float": f"{what} labels must be of integer dtype, found float32",
+                "negative": f"{what} label -1 out of range [0,3) at {index}",
+                "equal to m": f"{what} label 3 out of range [0,3) at {index}"}[case]
+    with pytest.raises(DataError, match=re.escape(expected)):
+        call(_bad_label_map(case), tmp_path)
+
+
+def test_label_rule_refuses_bool_maps():
+    with pytest.raises(DataError, match="found bool"):
+        ConfusionMatrix.from_labels(GOOD_LABELS, GOOD_LABELS.astype(bool), 3)
 
 
 # --- scene generator ---------------------------------------------------------

@@ -214,3 +214,56 @@ def test_gradcheck_all_pdc_parameters():
 
     report = ag.gradcheck(f, params)
     assert report.passed(1e-4), report.errors
+
+
+def _reparameterized_runs(alpha, kernel, dilation, precondition, steps=5, lr=0.01):
+    """Per SGD step, (loss, w') of a fixed-alpha PDC layer stepped on w, and of
+    an alpha-0 layer started at w' = A·w, A = I - alpha·delta_center·1ᵀ, and
+    stepped on w' by -lr·A·Aᵀ·grad when ``precondition``, by -lr·grad when not."""
+    rng = np.random.default_rng(12)
+    full = fixed_alpha_layer(3, alpha, rng, kernel=kernel, dilation=dilation)
+    plain = fixed_alpha_layer(3, 0.0, rng, kernel=kernel, dilation=dilation)
+    x = rng.standard_normal((1, 3, 12, 12))
+    mask = ag.Var(rng.standard_normal((1, 3, 12, 12)))
+    ci, cj = kernel[0] // 2, kernel[1] // 2
+
+    def times_a(v):  # subtract alpha·sum(v) from each channel's center tap
+        out = v.copy()
+        out[:, 0, ci, cj] -= alpha * v.sum(axis=(1, 2, 3))
+        return out
+
+    def times_a_t(g):  # subtract alpha·g_center from every tap
+        return g - alpha * g[:, :, ci:ci + 1, cj:cj + 1]
+
+    plain.weights.value[...] = times_a(full.weights.value)
+    runs = []
+    for _ in range(steps):
+        losses = []
+        for layer in (full, plain):
+            loss = ag.vsum(ag.mul(pdc_forward(x, layer), mask))
+            ag.backward(loss)
+            losses.append(float(loss.value))
+        full.weights.value -= lr * full.weights.grad
+        g = plain.weights.grad
+        plain.weights.value -= lr * (times_a(times_a_t(g)) if precondition else g)
+        runs.append((losses, times_a(full.weights.value), plain.weights.value.copy()))
+    return runs
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("alpha,kernel,dilation", ((0.8, (5, 5), 1), (0.8, (7, 7), 3),
+                                                   (0.3, (5, 5), 1)))
+def test_fixed_alpha_sgd_is_preconditioned_sgd_on_the_folded_kernel(alpha, kernel,
+                                                                      dilation):
+    # the identity behind ROADMAP item 12, at layer level, f64, no weight decay
+    for (full_loss, plain_loss), w_full, w_plain in _reparameterized_runs(
+            alpha, kernel, dilation, precondition=True):
+        assert abs(full_loss - plain_loss) <= 1e-12 * abs(full_loss)
+        assert _relative(w_full, w_plain) <= 1e-12
+    # the control: plain SGD on w' leaves the full layer's trajectory
+    _, w_full, w_plain = _reparameterized_runs(alpha, kernel, dilation,
+                                               precondition=False)[-1]
+    assert _relative(w_full, w_plain) > 0.1
