@@ -3,17 +3,29 @@
 Values are plain numpy arrays in batch-channel-height-width layout, row major.
 Every conv uses zero "same" padding and is one of two kinds: dense (groups 1)
 at any stride, or depthwise (groups == C == O) at stride 1; any other spec
-raises ConfigurationError.  Both kinds share one flat layout (`_grid`): each
-channel's zero-padded planes are stacked into one run in which neighbouring
-rows and planes share their zero gaps, so every kernel tap reads one long
-slice of it (at stride s, every s-th element).  A dense conv copies those
-slices into columns and runs one BLAS matrix product per call and direction,
-so the reduction order within one output element is fixed by that BLAS call:
+raises ConfigurationError.  Dense convs, in all three directions, and the
+depthwise weight grad run on one flat layout (`_grid`): each channel's
+zero-padded planes are stacked into one run in which neighbouring rows and
+planes share their zero gaps, so every kernel tap reads one long slice of it
+(at stride s, every s-th element).  A dense conv copies those slices into
+columns and runs one BLAS matrix product per call and direction, so the
+reduction order within one output element is fixed by that BLAS call:
 results are bit-identical run to run at a fixed BLAS thread count, but may
 differ in the last bits across thread counts.  A 1x1 stride-1 conv skips the
 layout, because its input, reshaped, already is its column matrix.
-Depthwise convs sum their taps one at a time in a fixed (i, j) order without
-BLAS, so their results do not depend on the thread count.
+The depthwise forward and input grad run on a row-interleaved layout of
+their own (`_dw_correlate`), with no padding rows, so each tap runs only
+over the output rows its window reaches.  Both sum their taps one at a time
+in a fixed (i, j) order without BLAS, so their results do not depend on the
+thread count.  The depthwise weight grad, one dot product per tap and
+channel, stays on `_grid`: on the row layout its einsum would sum in
+another order and change the gradients' last bits.
+Every path skips the taps whose window misses the input for every output,
+and the depthwise forward and input grad also skip, per tap, the output
+rows whose window lies wholly in the padding rows.  A skipped term is a
+product of the weight with zero padding, an exact zero for a finite weight,
+so skipping changes no bit.  A non-finite weight reaches no output that
+its tap skips; where its window reads padding columns it still gives NaN.
 """
 
 from __future__ import annotations
@@ -103,14 +115,16 @@ def _validate_conv(x: np.ndarray, w: np.ndarray, spec: ConvSpec,
     return depthwise
 
 
-# Padded input bytes per depthwise block: half of a 2 MB per-core L2, so a
-# block's input and output stay in cache across all of its taps.
-_DW_BLOCK_BYTES = 1 << 20
+# Input bytes per depthwise channel block: with its output and product
+# slices, about 1.5 MiB, so a block stays in a 2 MiB per-core L2 across all
+# of its taps.  Picked by an in-process sweep (CHANGES.md, BENCH_25.json).
+_DW_BLOCK_BYTES = 512 << 10
 
 
 def _grid(shape, spec: ConvSpec):
     """Geometry of the flat layout of an (N, C, H, W) input zero-padded by
-    the spec's "same" padding (t, l).  Per channel the samples are stacked in
+    the spec's "same" padding (t, l), on which dense convs and the depthwise
+    weight grad run.  Per channel the samples are stacked in
     one zero (R, wp) array, planes hp rows apart, pixel (y, x) at row t + y
     and column l + x of its plane, so neighbouring rows and planes share
     their zero gaps; hp and wp are multiples of the stride s.  The flat run
@@ -119,7 +133,7 @@ def _grid(shape, spec: ConvSpec):
     the (N, hp/s, wp/s) output grid, and slack rows after the last plane
     let every tap read all of it.  Returns (R, hp, wp, t, l) and the
     (i, j, offset) of each tap whose window overlaps the input; the other
-    taps add exact zeros."""
+    taps add exact zeros (products with the padding) and are skipped."""
     (n, _, h, w), (kh, kw), d, s = shape, spec.kernel, spec.dilation, spec.stride
     t, l = spec.pad_amount()
     hp, wp = (-(-(z + p) // s) * s for z, p in ((h, t), (w, l)))
@@ -148,18 +162,39 @@ def _flat(x: np.ndarray, spec: ConvSpec):
 
 
 def _dw_correlate(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Depthwise cross-correlation of x (N, C, H, W) with w (C, kh, kw) on
-    `_flat(x)`, block by block of samples, taps summed in (i, j) order."""
+    """Depthwise cross-correlation of x (N, C, H, W) with w (C, kh, kw), taps
+    summed in (i, j) order, on a row-interleaved layout: per channel, row y
+    of samples 0..N-1 back to back, each after l zeros (wp = W + l), then a
+    2l-zero tail and no padding rows.  Output pixel (n, y, x) sits at
+    (y*N + n)*wp + x of its (C, H*N*wp) run, and tap (i, j), dy = i*d - t,
+    reads at offset dy*N*wp + j*d over the output rows [max(0, -dy),
+    min(H, H - dy)) only, one slice per block of channels: a row outside
+    that range would read only padding.  Each term skipped so is a product
+    of the weight with zero padding, ±0 for a finite weight, and an
+    accumulator that starts at +0 and is only added to never becomes -0, so
+    skipping them changes no bit.  Taps are grouped by kernel row, so each
+    row's output and product slices are cut once; a block of channels holds
+    about _DW_BLOCK_BYTES of input."""
     n, c, h, w_in = x.shape
-    xp, (_, hp, wp, _, _), taps = _flat(x, spec)
-    size, step = n * hp * wp, max(1, _DW_BLOCK_BYTES // (c * hp * wp * x.itemsize)) * hp * wp
-    out, prod = np.zeros((c, size), dtype=x.dtype), np.empty((c, min(step, size)), dtype=x.dtype)
-    for s in range(0, size, step):
-        run = min(step, size - s) - hp * wp + (h - 1) * wp + w_in
-        acc, tmp = out[:, s:s + run], prod[:, :run]
-        for i, j, off in taps:
-            acc += np.multiply(xp[:, s + off:s + off + run], w[:, i, j, None], out=tmp)
-    return out.reshape(c, n, hp, wp)[:, :, :h, :w_in].transpose(1, 0, 2, 3)
+    (kh, kw), d = spec.kernel, spec.dilation
+    t, l = spec.pad_amount()
+    wp = w_in + l
+    row, size = n * wp, h * n * wp
+    xp = np.zeros((c, size + 2 * l), dtype=x.dtype)
+    xp[:, :size].reshape(c, h, n, wp)[..., l:] = x.transpose(1, 2, 0, 3)
+    rows = [(i, i * d - t) for i in range(kh) if abs(i * d - t) < h]
+    cols = [j for j in range(kw) if abs(j * d - l) < w_in]
+    step = max(1, _DW_BLOCK_BYTES // (xp.shape[1] * x.itemsize))
+    out, prod = np.zeros((c, size), dtype=x.dtype), np.empty((min(step, c), size), dtype=x.dtype)
+    for c0 in range(0, c, step):
+        c1 = min(c, c0 + step)
+        for i, dy in rows:
+            lo, hi = max(0, -dy) * row, min(h, h - dy) * row
+            acc, tmp = out[c0:c1, lo:hi], prod[:c1 - c0, lo:hi]
+            for j in cols:
+                off = dy * row + j * d
+                acc += np.multiply(xp[c0:c1, lo + off:hi + off], w[c0:c1, i, j, None], out=tmp)
+    return out.reshape(c, h, n, wp)[..., :w_in].transpose(2, 0, 1, 3)
 
 
 def _cols(x: np.ndarray, spec: ConvSpec):
@@ -244,7 +279,8 @@ def conv2d_weight_grad(gout: np.ndarray, x: np.ndarray, spec: ConvSpec,
     n, c, h, w_in = x.shape
     o, _, kh, kw = w_shape
     if _depthwise(spec, c, o):
-        # gout placed on x's flat grid: one dot product per tap and channel
+        # gout placed on x's flat grid: one dot product per tap and channel;
+        # on _dw_correlate's row layout the einsum would sum in another order
         xp, (_, hp, wp, _, _), taps = _flat(x, spec)
         run = ((n - 1) * hp + h - 1) * wp + w_in
         grid, gw = _on_grid(gout, hp, wp)[:, :run], np.zeros(w_shape, dtype=gout.dtype)

@@ -289,30 +289,29 @@ def test_depthwise_7x7_d3_on_tiny_inputs(size, groups):
     _check_conv(x, w, T.ConvSpec(kernel=(7, 7), dilation=3, groups=g), rng)
 
 
-def test_depthwise_blocks_match_per_sample():
-    # 8 channels padded to 50x50 planes: a batch of 1.5 blocks, cut mid-block
+def test_depthwise_channel_blocks_match_per_channel():
+    # 2 samples of 48x48 rows after 2 zeros, plus the 4-zero tail: a conv
+    # whose channels span 1.5 blocks, cut mid-block
     rng = np.random.default_rng(11)
-    per_block = T._DW_BLOCK_BYTES // (8 * 50 * 50 * 4)
+    per_block = T._DW_BLOCK_BYTES // ((48 * 2 * 50 + 4) * 4)
     assert per_block >= 2
-    x = rng.standard_normal((per_block + per_block // 2, 8, 48, 48)).astype(np.float32)
-    w = rng.standard_normal((8, 1, 5, 5)).astype(np.float32)
-    spec = T.depthwise_spec(8, (5, 5))
+    c = per_block + per_block // 2
+    x = rng.standard_normal((2, c, 48, 48)).astype(np.float32)
+    w = rng.standard_normal((c, 1, 5, 5)).astype(np.float32)
     g = rng.standard_normal(x.shape).astype(np.float32)
+    spec, one = T.depthwise_spec(c, (5, 5)), T.depthwise_spec(1, (5, 5))
     whole = T.conv2d(x, w, spec)
     dx = T.conv2d_input_grad(g, w, spec, x.shape)
-    for k in range(len(x)):
-        assert T.conv2d(x[k:k + 1], w, spec).tobytes() == whole[k:k + 1].tobytes()
-        single = T.conv2d_input_grad(g[k:k + 1], w, spec, (1,) + x.shape[1:])
-        assert single.tobytes() == dx[k:k + 1].tobytes()
+    for k in range(c):
+        assert T.conv2d(x[:, k:k + 1], w[k:k + 1], one).tobytes() == whole[:, k:k + 1].tobytes()
+        single = T.conv2d_input_grad(g[:, k:k + 1], w[k:k + 1], one, (2, 1, 48, 48))
+        assert single.tobytes() == dx[:, k:k + 1].tobytes()
 
 
-@pytest.mark.parametrize("kernel, dilation, size", [(5, 1, (10, 13)), (7, 3, (10, 13)),
-                                                    (7, 3, (6, 6))])
-def test_depthwise_f32_sums_taps_in_order(kernel, dilation, size):
-    # the exact float32 result of adding tap products one by one in (i, j) order
-    rng = np.random.default_rng(kernel)
-    x = rng.standard_normal((3, 4) + size).astype(np.float32)
-    w = rng.standard_normal((4, 1, kernel, kernel)).astype(np.float32)
+def _tap_sum(x, w, dilation):
+    """The exact float32 result of adding the depthwise tap products of x
+    (N, C, H, W) and w (C, 1, k, k) one by one in (i, j) order."""
+    kernel, size = w.shape[-1], x.shape[2:]
     p = (kernel - 1) * dilation // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     ref = np.zeros_like(x)
@@ -320,8 +319,48 @@ def test_depthwise_f32_sums_taps_in_order(kernel, dilation, size):
         for j in range(kernel):
             di, dj = i * dilation, j * dilation
             ref += w[None, :, 0, i, j, None, None] * xp[:, :, di:di + size[0], dj:dj + size[1]]
+    return ref
+
+
+# the net's geometries: 5x5 d1 and 7x7 d3 at its 24x24 and 12x12 planes and
+# at 2x2, where most 7x7 d3 taps read only padding, and a tall narrow plane
+_TAP_ORDER_CASES = [(5, 1, (10, 13)), (7, 3, (10, 13)), (7, 3, (6, 6))] + [
+    (k, d, size) for size in ((24, 24), (12, 12), (2, 2), (13, 4)) for k, d in ((5, 1), (7, 3))]
+
+
+@pytest.mark.parametrize("kernel, dilation, size", _TAP_ORDER_CASES)
+def test_depthwise_f32_sums_taps_in_order(kernel, dilation, size):
+    rng = np.random.default_rng(kernel)
+    x = rng.standard_normal((3, 4) + size).astype(np.float32)
+    w = rng.standard_normal((4, 1, kernel, kernel)).astype(np.float32)
     spec = T.depthwise_spec(4, (kernel, kernel), dilation)
-    np.testing.assert_array_equal(T.conv2d(x, w, spec), ref)
+    np.testing.assert_array_equal(T.conv2d(x, w, spec), _tap_sum(x, w, dilation))
+
+
+@pytest.mark.parametrize("kernel, dilation, size", _TAP_ORDER_CASES)
+def test_depthwise_input_grad_f32_sums_flipped_taps_in_order(kernel, dilation, size):
+    rng = np.random.default_rng(kernel + 1)
+    g = rng.standard_normal((3, 4) + size).astype(np.float32)
+    w = rng.standard_normal((4, 1, kernel, kernel)).astype(np.float32)
+    spec = T.depthwise_spec(4, (kernel, kernel), dilation)
+    np.testing.assert_array_equal(T.conv2d_input_grad(g, w, spec, g.shape),
+                                  _tap_sum(g, w[..., ::-1, ::-1], dilation))
+
+
+def test_depthwise_tap_skips_rows_its_window_misses():
+    # tap (0, 3) of a 7x7 d3 kernel reads 9 rows up: on 12x12 planes output
+    # rows 0-8 would read only padding rows there, so an inf weight on that
+    # tap reaches rows 9-11 alone, and rows 0-8 equal the sum without it
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
+    w = rng.standard_normal((3, 1, 7, 7)).astype(np.float32)
+    spec = T.depthwise_spec(3, (7, 7), 3)
+    w_inf, w_zero = w.copy(), w.copy()
+    w_inf[:, 0, 0, 3], w_zero[:, 0, 0, 3] = np.inf, 0.0
+    with np.errstate(invalid="ignore"):  # inf * 0 in the cropped columns
+        y = T.conv2d(x, w_inf, spec)
+    assert not np.isfinite(y[:, :, 9:]).any()
+    assert y[:, :, :9].tobytes() == T.conv2d(x, w_zero, spec)[:, :, :9].tobytes()
 
 
 def test_naive_oracles_import_nothing_from_pdconv():
