@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pdconv
 from pdconv import pdtio, scenes
-from pdconv.errors import DimensionError, FormatError
+from pdconv.errors import DataError, DimensionError, FormatError
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
@@ -221,7 +221,9 @@ def valid_dataset(tmp_path_factory):
 @given(data=st.data())
 def test_damaged_dataset_raises_only_format_error(valid_dataset, tmp_path_factory, data):
     # with one file damaged or deleted, load_dataset either loads or raises
-    # FormatError, or FileNotFoundError for a file it does not find
+    # FormatError, or FileNotFoundError for a file it does not find; a label
+    # file that still parses but now holds a label outside [0, classes) is
+    # the label rule's DataError
     d = tmp_path_factory.getbasetemp() / "fuzz_dataset"
     d.mkdir(exist_ok=True)
     for name, raw in valid_dataset.items():
@@ -235,3 +237,5 @@ def test_damaged_dataset_raises_only_format_error(valid_dataset, tmp_path_factor
         scenes.load_dataset(str(d))
     except (FormatError, FileNotFoundError):
         pass
+    except DataError as e:
+        assert name.endswith(".label.pdt") and " out of range [0,3) at " in str(e)
