@@ -278,15 +278,20 @@ def test_depthwise_explicit_padding(kernel, dilation, padding, stride, groups):
     _check_conv(x, w, spec, rng)
 
 
-@pytest.mark.parametrize("size, groups", _with_groups([(1,), (2,), (6,)], ["1", "2", "6"]))
-def test_depthwise_7x7_d3_on_tiny_inputs(size, groups):
+_TINY_CASES = [(size, stride) for stride in (1, 2, 3) for size in (1, 2, 6)]
+
+
+@pytest.mark.parametrize("size, stride, groups", _with_groups(
+    _TINY_CASES, [f"{z}" if s == 1 else f"{z}-stride{s}" for z, s in _TINY_CASES]))
+def test_depthwise_7x7_d3_on_tiny_inputs(size, stride, groups):
     # most taps read only padding at these sizes (the deepest CPDC stage of
-    # the gradcheck network and of training stage 3)
+    # the gradcheck network and of training stage 3); at stride > 1 a dense
+    # conv's windows cover the kept taps only, clipped to these planes
     rng = np.random.default_rng(size)
     c, g = _grid_groups(groups)
     x = rng.standard_normal((2, c, size, size))
     w = rng.standard_normal((c, c // g, 7, 7))
-    _check_conv(x, w, T.ConvSpec(kernel=(7, 7), dilation=3, groups=g), rng)
+    _check_conv(x, w, T.ConvSpec(kernel=(7, 7), dilation=3, stride=stride, groups=g), rng)
 
 
 def test_depthwise_channel_blocks_match_per_channel():
@@ -302,10 +307,13 @@ def test_depthwise_channel_blocks_match_per_channel():
     spec, one = T.depthwise_spec(c, (5, 5)), T.depthwise_spec(1, (5, 5))
     whole = T.conv2d(x, w, spec)
     dx = T.conv2d_input_grad(g, w, spec, x.shape)
+    dw = T.conv2d_weight_grad(g, x, spec, w.shape)
     for k in range(c):
         assert T.conv2d(x[:, k:k + 1], w[k:k + 1], one).tobytes() == whole[:, k:k + 1].tobytes()
         single = T.conv2d_input_grad(g[:, k:k + 1], w[k:k + 1], one, (2, 1, 48, 48))
         assert single.tobytes() == dx[:, k:k + 1].tobytes()
+        single = T.conv2d_weight_grad(g[:, k:k + 1], x[:, k:k + 1], one, (1, 1, 5, 5))
+        assert single.tobytes() == dw[k:k + 1].tobytes()
 
 
 def _tap_sum(x, w, dilation):
@@ -350,7 +358,10 @@ def test_depthwise_input_grad_f32_sums_flipped_taps_in_order(kernel, dilation, s
 def test_depthwise_tap_skips_rows_its_window_misses():
     # tap (0, 3) of a 7x7 d3 kernel reads 9 rows up: on 12x12 planes output
     # rows 0-8 would read only padding rows there, so an inf weight on that
-    # tap reaches rows 9-11 alone, and rows 0-8 equal the sum without it
+    # tap reaches rows 9-11 alone, and rows 0-8 equal the sum without it;
+    # likewise the weight grad of kernel row 0 sums over output rows 9-11
+    # only, so an inf in gout rows 0-8 does not reach it, while the centre
+    # tap, whose window reads those rows, turns non-finite
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 12, 12)).astype(np.float32)
     w = rng.standard_normal((3, 1, 7, 7)).astype(np.float32)
@@ -361,6 +372,13 @@ def test_depthwise_tap_skips_rows_its_window_misses():
         y = T.conv2d(x, w_inf, spec)
     assert not np.isfinite(y[:, :, 9:]).any()
     assert y[:, :, :9].tobytes() == T.conv2d(x, w_zero, spec)[:, :, :9].tobytes()
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    g_inf, g_zero = g.copy(), g.copy()
+    g_inf[:, :, :9], g_zero[:, :, :9] = np.inf, 0.0
+    with np.errstate(invalid="ignore"):  # inf * 0 where a window reads padding columns
+        gw = T.conv2d_weight_grad(g_inf, x, spec, w.shape)
+    assert not np.isfinite(gw[:, 0, 3, 3]).any()
+    assert gw[:, 0, 0].tobytes() == T.conv2d_weight_grad(g_zero, x, spec, w.shape)[:, 0, 0].tobytes()
 
 
 def test_naive_oracles_import_nothing_from_pdconv():
