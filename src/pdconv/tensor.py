@@ -2,34 +2,30 @@
 
 Values are plain numpy arrays in batch-channel-height-width layout, row major.
 Every conv uses zero "same" padding, t rows and l columns on each side, and
-is one of two kinds: dense (groups 1) at any stride, or depthwise (groups ==
-C == O) at stride 1; any other spec raises ConfigurationError.
-All conv paths run on one flat layout (`_rows`): per channel, t zero rows,
-then row y of samples 0..N-1 back to back, each after l zeros in wp >= W + l
-elements, then t zero rows and 2l zeros.  Tap (i, j) of every output reads
-from one offset, i*d rows and j*d columns on.  Taps whose window misses the
-input for every output are skipped.
-- Dense convs round wp up to a multiple of the stride s and give each output
-  row wp/s columns; the spare ones at a row's end are cropped.  The kept
-  taps' windows are copied into columns and one BLAS matrix product runs
-  per call and direction, so results are bit-identical run to run at a fixed
-  BLAS thread count, but may differ in the last bits across thread counts.
-  A 1x1 stride-1 conv skips the layout: its input, reshaped, already is its
-  column matrix.
-- Depthwise convs store no padding rows (t = 0) and run each tap only over
-  the output rows whose window reads input rows, one slice per block of
-  channels.  The forward and input grad sum their taps one at a time in
-  (i, j) order, and the weight grad takes one dot product per tap and
-  channel, without BLAS, so their results do not depend on the thread count.
+is dense (groups 1) at any stride or depthwise (groups == C == O) at stride
+1; any other spec raises ConfigurationError.  Convs run on one flat layout
+(`_rows`): per channel, t zero rows, then row y of samples 0..N-1 back to
+back, each after l zeros in wp >= W + l elements, then t zero rows and 2l
+zeros, so every output reads tap (i, j) i*d rows and j*d columns on.  Taps
+whose window misses the input for every output are skipped.
+- A dense conv takes wp a multiple of the stride, copies the kept taps'
+  windows into columns and runs one BLAS product per call and direction;
+  spare columns at the end of each output row are cropped.  Its results are
+  bit-identical run to run at a fixed BLAS thread count, but may differ in
+  the last bits across counts.  A 1x1 stride-1 conv uses its reshaped input
+  as the columns.
+- A depthwise conv stores no padding rows and runs each tap only over the
+  output rows whose window reads input rows.  Its forward and input grad sum
+  the taps one at a time in (i, j) order, its weight grad takes one dot
+  product per tap and channel, and none uses BLAS.
 A skipped term is a product with zero padding, an exact zero for finite
-operands, so skipping changes no finite result.  Non-finite values:
+operands.  Non-finite values:
 - a weight reaches no output of the forward or input grad that its tap
-  skips.  Where its window reads padding it gives NaN, and in a dense input
+  skips; where its window reads padding it gives NaN, and in a dense input
   grad it can reach any pixel of its input channel;
-- a gout value reaches, in the input grad, only the pixels in its output's
-  window.  In the weight grad it reaches every kept tap of its output channel
-  in a dense conv, but in a depthwise conv only the taps whose window at its
-  row reads an input row.
+- a gout value reaches only the input-grad pixels in its output's window;
+  in the weight grad, every kept tap of its output channel (dense) or only
+  the taps whose window at its row reads an input row (depthwise).
 """
 
 from __future__ import annotations
