@@ -192,8 +192,8 @@ def _windows(flat: np.ndarray, shape, spec: ConvSpec, wp: int):
     (C, Ti, Tj, Ho, N*wp/s) view: [c, i, j, y] is every s-th element of one
     stretch, from the column that output (y, 0) of kept tap (i, j) reads.
     At stride 1 the output rows run on back to back, and the view is
-    (C, Ti, Tj, 1, Ho*N*wp): numpy adds into one 2-D run ≈2.5x faster than
-    into rows.  Returns it and the kept taps' slices."""
+    (C, Ti, Tj, 1, Ho*N*wp): numpy adds into one 2-D run 2.5-3.5x faster
+    than into rows.  Returns it and the kept taps' slices."""
     n, c, h, w = shape
     (kh, kw), d, s = spec.kernel, spec.dilation, spec.stride
     t, l = spec.pad_amount()
