@@ -165,10 +165,10 @@ def cmd_train(args) -> int:
 
 def _scalar_params(net: ToyPdcNet) -> dict[str, float]:
     out = {}
-    for i, ecf in enumerate(net.ecf):
+    for i, (*_, op_rgb, op_depth, ecf) in enumerate(net.stages):
         out[f"s{i}.eta"] = float(ecf.eta.value)
         out[f"s{i}.lambda"] = float(ecf.lam.value)
-        for side, layer in (("rgb", net.ops_rgb[i]), ("depth", net.ops_depth[i])):
+        for side, layer in (("rgb", op_rgb), ("depth", op_depth)):
             stages = ([layer.stage_local, layer.stage_long]
                       if hasattr(layer, "stage_local") else [layer])
             for j, st in enumerate(stages):

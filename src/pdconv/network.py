@@ -175,7 +175,6 @@ class ToyPdcNet:
         self.dtype = dtype
         ch = cfg.channels
         alpha_fixed = cfg.alpha_value if cfg.alpha_mode == "fixed" else None
-        rgb_op, depth_op = _BRANCH_OPS[cfg.variant]
 
         # learnable blends start at 0.8 (stored ln 4): the difference term is
         # the operator's point, so it dominates from the first step and the
@@ -188,22 +187,28 @@ class ToyPdcNet:
                         alpha_fixed=0.0 if kind.endswith("0") else alpha_fixed,
                         with_gate=False)
 
-        self.stem_rgb = make_conv_unit(3, ch[0], rng, dtype)
-        self.stem_depth = make_conv_unit(1, ch[0], rng, dtype)
-        self.trans_rgb, self.trans_depth = [], []
-        self.blocks_rgb, self.blocks_depth = [], []
-        self.ops_rgb, self.ops_depth, self.ecf = [], [], []
+        # named as built: names run in the order of the draws and of the checkpoint
+        self._params: dict[str, ag.Var] = {}
+
+        def named(prefix: str, layer):
+            self._params.update(layer.parameters(prefix))
+            return layer
+
+        self.stem_rgb = named("stem_rgb", make_conv_unit(3, ch[0], rng, dtype))
+        self.stem_depth = named("stem_depth", make_conv_unit(1, ch[0], rng, dtype))
+        # one tuple per stage, in build order: the rgb and depth stride-2
+        # units, their residual blocks, their difference ops, the ECF layer
+        self.stages = []
         prev = ch[0]
-        for c in ch:
-            self.trans_rgb.append(make_conv_unit(prev, c, rng, dtype, stride=2))
-            self.trans_depth.append(make_conv_unit(prev, c, rng, dtype, stride=2))
-            self.blocks_rgb.append([make_res_block(c, rng, dtype)
-                                    for _ in range(cfg.blocks_per_stage)])
-            self.blocks_depth.append([make_res_block(c, rng, dtype)
-                                      for _ in range(cfg.blocks_per_stage)])
-            self.ops_rgb.append(stage_op(rgb_op, c))
-            self.ops_depth.append(stage_op(depth_op, c))
-            self.ecf.append(make_ecf_layer(c, rng=rng, dtype=dtype))
+        for i, c in enumerate(ch):
+            trans = [named(f"s{i}.trans_{side}", make_conv_unit(prev, c, rng, dtype, stride=2))
+                     for side in ("rgb", "depth")]
+            blocks = [[named(f"s{i}.{side}_blk{j}", make_res_block(c, rng, dtype))
+                       for j in range(cfg.blocks_per_stage)] for side in ("rgb", "depth")]
+            ops = [named(f"s{i}.op_{side}", stage_op(kind, c))
+                   for side, kind in zip(("rgb", "depth"), _BRANCH_OPS[cfg.variant])]
+            ecf = named(f"s{i}.ecf", make_ecf_layer(c, rng=rng, dtype=dtype))
+            self.stages.append((*trans, *blocks, *ops, ecf))
             prev = c
         dc = cfg.decoder_channels
         self.proj_low_w = ag.parameter(init_weights(rng, (dc, ch[0], 1, 1), dtype))
@@ -212,27 +217,14 @@ class ToyPdcNet:
         self.proj_high_b = ag.parameter(np.zeros(dc, dtype=dtype))
         self.cls_w = ag.parameter(init_weights(rng, (cfg.classes, 2 * dc, 1, 1), dtype))
         self.cls_b = ag.parameter(np.zeros(cfg.classes, dtype=dtype))
+        self._params.update({"dec.low_w": self.proj_low_w, "dec.low_b": self.proj_low_b,
+                             "dec.high_w": self.proj_high_w, "dec.high_b": self.proj_high_b,
+                             "dec.cls_w": self.cls_w, "dec.cls_b": self.cls_b})
 
     # -- parameters --------------------------------------------------------
 
     def parameters(self) -> dict[str, ag.Var]:
-        params: dict[str, ag.Var] = {}
-        params.update(self.stem_rgb.parameters("stem_rgb"))
-        params.update(self.stem_depth.parameters("stem_depth"))
-        for i in range(len(self.cfg.channels)):
-            params.update(self.trans_rgb[i].parameters(f"s{i}.trans_rgb"))
-            params.update(self.trans_depth[i].parameters(f"s{i}.trans_depth"))
-            for j, blk in enumerate(self.blocks_rgb[i]):
-                params.update(blk.parameters(f"s{i}.rgb_blk{j}"))
-            for j, blk in enumerate(self.blocks_depth[i]):
-                params.update(blk.parameters(f"s{i}.depth_blk{j}"))
-            params.update(self.ops_rgb[i].parameters(f"s{i}.op_rgb"))
-            params.update(self.ops_depth[i].parameters(f"s{i}.op_depth"))
-            params.update(self.ecf[i].parameters(f"s{i}.ecf"))
-        params.update({"dec.low_w": self.proj_low_w, "dec.low_b": self.proj_low_b,
-                       "dec.high_w": self.proj_high_w, "dec.high_b": self.proj_high_b,
-                       "dec.cls_w": self.cls_w, "dec.cls_b": self.cls_b})
-        return params
+        return dict(self._params)
 
     def decayable(self) -> set[str]:
         """Conv and gate weight names; scalars, biases, and affines are not decayed."""
@@ -250,21 +242,16 @@ class ToyPdcNet:
     def forward(self, rgb, depth) -> ag.Var:
         # plain image arrays reach the stem convs as constants: no input gradient
         n, _, h, w = rgb.shape
-        xr = self.stem_rgb(rgb)
-        xd = self.stem_depth(depth)
+        xr, xd = self.stem_rgb(rgb), self.stem_depth(depth)
         fused_maps = []
-        for i in range(len(self.cfg.channels)):
-            xr = self.trans_rgb[i](xr)
-            xd = self.trans_depth[i](xd)
-            for blk in self.blocks_rgb[i]:
+        for trans_r, trans_d, blocks_r, blocks_d, op_r, op_d, ecf in self.stages:
+            xr, xd = trans_r(xr), trans_d(xd)
+            for blk in blocks_r:
                 xr = blk(xr)
-            for blk in self.blocks_depth[i]:
+            for blk in blocks_d:
                 xd = blk(xd)
-            hat_r = self._op_raw(self.ops_rgb[i], xr)
-            hat_d = self._op_raw(self.ops_depth[i], xd)
-            fused = ecf_fuse(xr, xd, hat_r, hat_d, self.ecf[i])
-            fused_maps.append(fused)
-            xr = fused  # the depth branch continues un-fused
+            xr = ecf_fuse(xr, xd, self._op_raw(op_r, xr), self._op_raw(op_d, xd), ecf)
+            fused_maps.append(xr)  # the depth branch continues un-fused
         low = ag.pointwise(fused_maps[0], self.proj_low_w, self.proj_low_b)
         high = ag.pointwise(fused_maps[-1], self.proj_high_w, self.proj_high_b)
         high = ag.upsample_bilinear(high, low.value.shape[2:])
@@ -305,6 +292,18 @@ class ToyPdcNet:
             cfg = _build(NetConfig, values, "meta", required=True)
         except ConfigurationError as e:
             raise FormatError(f"checkpoint {path}: {e}") from None
+
+        # every size is the first axis of a tensor the file holds; checked
+        # before the build, which allocates whatever sizes it is given
+        sizes = [(f"channels[{i}]", f"s{i}.trans_rgb.w", c) for i, c in enumerate(cfg.channels)]
+        sizes += [("blocks_per_stage", f"s0.rgb_blk{cfg.blocks_per_stage - 1}.c1.w",
+                   cfg.channels[0]),
+                  ("decoder_channels", "dec.low_w", cfg.decoder_channels),
+                  ("classes", "dec.cls_w", cfg.classes)]
+        for name, key, size in sizes:
+            if key not in saved or saved[key].shape[:1] != (size,):
+                raise FormatError(f"checkpoint {path}: meta.{name} needs a tensor {key!r} "
+                                  f"of first axis {size}, and the file holds no such tensor")
         net = cls(cfg, np.random.default_rng(0))  # every drawn value is overwritten below
         load_into({name: p.value for name, p in net.parameters().items()}, saved)
         return net

@@ -257,6 +257,22 @@ class TestTrainEvalFlow:
                              "--dump-params")
         assert code2 == 0 and out2 == out
 
+    @pytest.mark.parametrize("variant", ["full", "vanilla-baseline"])
+    def test_eval_dump_params_lists_every_stage(self, variant, small_dataset, tmp_path,
+                                                capsys):
+        cfg = NetConfig(classes=3, channels=(4, 6, 8), blocks_per_stage=1,
+                        decoder_channels=8, variant=variant)
+        ckpt = str(tmp_path / "net.pdck")
+        ToyPdcNet(cfg, rng=np.random.default_rng(0)).save(ckpt)
+        code, out, _ = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset,
+                           "--dump-params")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert set(params) == {f"s{i}.{k}" for i in range(3) for k in (
+            "eta", "lambda", "rgb.alpha0", "rgb.alpha1", "depth.alpha0")}
+        alphas = [v for k, v in params.items() if ".alpha" in k]
+        assert set(alphas) == ({0.8} if variant == "full" else {0.0})
+
     def test_eval_variant_mismatch_is_usage_error(self, small_dataset, config_path,
                                                   tmp_path, capsys):
         ckpt = str(tmp_path / "net.pdck")
@@ -555,6 +571,9 @@ BAD_CHECKPOINTS = {
                          "net.pdck: unknown key(s) meta.bogus"),
     "classes 5.9": (lambda state: state.update({"meta.classes": np.asarray([5.9])}),
                     "net.pdck: meta.classes must be int, got 5.9"),
+    "channels [1 << 24]": (
+        lambda state: state.update({"meta.channels": np.asarray([1 << 24], np.int32)}),
+        "net.pdck: meta.channels[0] needs a tensor 's0.trans_rgb.w' of first axis 16777216"),
 }
 
 

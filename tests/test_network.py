@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import platform
 import re
@@ -265,6 +266,26 @@ class TestNetwork:
         loss = ag.cross_entropy(logits, labels)
         assert float(loss.value) == pytest.approx(np.log(3), rel=1e-6)
 
+    # first 16 hex digits of the sha256 of the default net's parameters()
+    # names, joined by newlines, and of their initial values' bytes in that
+    # order, at seed 0; the names and the blends' stored values do not
+    # depend on whether a blend is fixed, so only swap differs
+    DEFAULT_BUILD = {"full": ("24efea529c25ff3c", "74d5815b9dea5742"),
+                     "vanilla-baseline": ("24efea529c25ff3c", "74d5815b9dea5742"),
+                     "swap": ("8fa10e9e44f7e066", "383d47e8611f9845"),
+                     "pdc-only": ("24efea529c25ff3c", "74d5815b9dea5742"),
+                     "cpdc-only": ("24efea529c25ff3c", "74d5815b9dea5742")}
+
+    @pytest.mark.parametrize("variant", network.VARIANTS)
+    def test_default_build_keeps_its_names_order_and_draws(self, variant):
+        # the build order fixes every seed's weights, and the names' order
+        # fixes the checkpoint's tensors; no BLAS product runs at init
+        params = ToyPdcNet(NetConfig(variant=variant), rng=np.random.default_rng(0)).parameters()
+        assert len(params) == 138
+        names = hashlib.sha256("\n".join(params).encode()).hexdigest()[:16]
+        values = hashlib.sha256(b"".join(p.value.tobytes() for p in params.values()))
+        assert (names, values.hexdigest()[:16]) == self.DEFAULT_BUILD[variant]
+
     @pytest.mark.parametrize("variant", ["full", "vanilla-baseline", "swap",
                                          "pdc-only", "cpdc-only"])
     def test_variants_have_matched_parameter_counts(self, variant):
@@ -299,7 +320,10 @@ class TestNetwork:
 
     @pytest.mark.parametrize("key, value", [
         ("meta.variant", [-1]), ("meta.variant", [9]), ("meta.alpha_mode", [2]),
-        ("meta.classes", None), ("meta.blocks_per_stage", [1, 1])])
+        ("meta.classes", None), ("meta.blocks_per_stage", [1, 1]),
+        # sizes that no tensor in the file matches
+        ("meta.channels", [4, 6, 8, 6]), ("meta.blocks_per_stage", [2]),
+        ("meta.decoder_channels", [9]), ("meta.classes", [4])])
     def test_load_rejects_bad_meta(self, tmp_path, key, value):
         state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
         if value is None:
@@ -310,6 +334,24 @@ class TestNetwork:
         write_checkpoint(path, state)
         with pytest.raises(FormatError, match=key):
             ToyPdcNet.load(path)
+
+    def test_load_refuses_a_size_no_tensor_matches_before_building(self, tmp_path):
+        # built first, 1 << 24 channels would draw gigabytes of weights
+        cfg = NetConfig(classes=3, channels=(4,), blocks_per_stage=1, decoder_channels=8)
+        state = ToyPdcNet(cfg, rng=np.random.default_rng(0)).state_dict()
+        state["meta.channels"] = np.asarray([1 << 24], dtype=np.int32)
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(
+                    f"checkpoint {path}: meta.channels[0] needs a tensor 's0.trans_rgb.w' "
+                    f"of first axis {1 << 24}")):
+                ToyPdcNet.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         cfg = NON_DEFAULT_NET
@@ -398,9 +440,11 @@ class TestNetwork:
             assert consumers[id(conv)] == consumers[id(unit.beta)] == [out]
             return out, conv
 
-        blocks = [b for stage in net.blocks_rgb + net.blocks_depth for b in stage]
-        plain = [net.stem_rgb, net.stem_depth, *net.trans_rgb, *net.trans_depth,
-                 *(b.unit1 for b in blocks)]
+        trans, blocks = [], []
+        for trans_r, trans_d, blocks_r, blocks_d, *_ in net.stages:
+            trans += [trans_r, trans_d]
+            blocks += blocks_r + blocks_d
+        plain = [net.stem_rgb, net.stem_depth, *trans, *(b.unit1 for b in blocks)]
         assert len(plain) + len(blocks) == 32
         for unit in plain:
             out, conv = unit_output(unit)
