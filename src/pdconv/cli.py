@@ -22,9 +22,8 @@ from . import tensor as T
 from .clk import (RF_MODES, analytic_support, clk_flops, large_kernel_flops,
                   make_clk_layer, make_cpdc_layer, clk_forward, cpdc_forward,
                   receptive_field)
-from .config import load_run_config
 from .errors import ConfigurationError, PdconvError, TrainingDiverged
-from .network import VARIANTS, ToyPdcNet, evaluate, train
+from .network import VARIANTS, ToyPdcNet, evaluate, load_run_config, train
 from .pdc import alpha_effective, equivalence_deviation, make_pdc_layer, pdc_forward
 from .pdtio import check_writable, write_pdt
 from .scenes import SceneConfig, load_dataset, save_dataset

@@ -17,6 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,11 +26,11 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .clk import CpdcLayer, cpdc_raw, make_cpdc_layer
-from .errors import ConfigurationError, FormatError, TrainingDiverged
+from .errors import ConfigurationError, DimensionError, FormatError, TrainingDiverged
 from .fusion import ecf_fuse, make_ecf_layer
 from .metrics import ConfusionMatrix
 from .pdc import init_weights, make_pdc_layer, pdc_forward
-from .pdtio import load_into, read_checkpoint, write_checkpoint
+from .pdtio import read_checkpoint, write_checkpoint
 from .scenes import SegSample
 
 # (rgb op, depth op) per variant, in checkpoint code order; a trailing "0"
@@ -140,8 +141,6 @@ def _build(cls, data, where: str, skip: dict[str, str] | None = None,
         raise ConfigurationError(f"'{where}.*' value out of range: {e}") from None
 
 
-# --- the network ------------------------------------------------------------
-
 @dataclass
 class NetConfig:
     classes: int = 5
@@ -168,6 +167,70 @@ class NetConfig:
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
 
+
+@dataclass
+class TrainConfig:
+    lr: float = 8e-3
+    momentum: float = 0.9
+    weight_decay: float = 1e-4
+    poly_power: float = 0.9
+    epochs: int = 12
+    batch_size: int = 8
+    seed: int = 0
+    val_fraction: float = 0.1
+
+    def __post_init__(self):
+        # written so that NaN fails every check
+        for name, ok, want in (
+                ("lr", 0 < self.lr < math.inf, "positive and finite"),
+                ("momentum", 0 <= self.momentum < 1, "in [0,1)"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf, "non-negative and finite"),
+                ("poly_power", 0 <= self.poly_power < math.inf, "non-negative and finite"),
+                ("epochs", self.epochs >= 1, "positive"),
+                ("batch_size", self.batch_size >= 1, "positive"),
+                ("val_fraction", 0 <= self.val_fraction < 1, "in [0,1)"),
+                ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise ConfigurationError(f"{name} must be {want}, got {getattr(self, name)}")
+
+
+@dataclass
+class RunConfig:
+    seed: int = 0
+    model: NetConfig = field(default_factory=NetConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
+
+
+# run.json fields a run sets elsewhere, each with where it comes from
+_MODEL_SET_PER_RUN = {"classes": "the dataset manifest", "variant": "--variant"}
+_TRAINING_SET_PER_RUN = {"seed": "the top-level 'seed' (or --seed)"}
+
+
+def load_run_config(path: str) -> RunConfig:
+    """A run.json file; strict about unknown keys and value types, by the
+    rules a checkpoint's NetConfig is read with."""
+    with open(path) as f:
+        try:
+            data = json.load(f)
+        except ValueError as e:
+            raise ConfigurationError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config {path} must be a JSON object")
+    unknown = set(data) - {"seed", "model", "training"}
+    if unknown:
+        raise ConfigurationError(f"unknown top-level key(s) {sorted(unknown)} in {path}")
+    try:
+        return RunConfig(
+            seed=_typed(data.get("seed", 0), 0, "seed"),
+            model=_build(NetConfig, data.get("model", {}), "model", skip=_MODEL_SET_PER_RUN),
+            training=_build(TrainConfig, data.get("training", {}), "training",
+                            skip=_TRAINING_SET_PER_RUN),
+        )
+    except ConfigurationError as e:
+        raise ConfigurationError(f"config {path}: {e}") from None
+
+
+# --- the network ------------------------------------------------------------
 
 class ToyPdcNet:
     def __init__(self, cfg: NetConfig, rng: np.random.Generator, dtype=np.float32):
@@ -275,7 +338,8 @@ class ToyPdcNet:
 
     @classmethod
     def load(cls, path: str) -> "ToyPdcNet":
-        """Read a checkpoint by _build's rules; every NetConfig field is required."""
+        """Read a checkpoint: meta.* by _build's rules with every field required, then
+        each parameter by name, shape and finiteness in its dtype; refusals name the file."""
         saved = read_checkpoint(path)
         defaults = {f.name: f.default for f in dataclasses.fields(NetConfig)}
         values = {}
@@ -305,7 +369,22 @@ class ToyPdcNet:
                 raise FormatError(f"checkpoint {path}: meta.{name} needs a tensor {key!r} "
                                   f"of first axis {size}, and the file holds no such tensor")
         net = cls(cfg, np.random.default_rng(0))  # every drawn value is overwritten below
-        load_into({name: p.value for name, p in net.parameters().items()}, saved)
+        params = net.parameters()
+        for name in saved:
+            if name not in params:
+                raise FormatError(f"checkpoint {path}: unknown tensor {name!r}")
+        for name, p in params.items():
+            src = saved.get(name)
+            if src is None:
+                raise FormatError(f"checkpoint {path}: missing tensor {name!r}")
+            if src.shape != p.value.shape:
+                raise DimensionError(f"checkpoint {path}: tensor {name!r} has shape "
+                                     f"{src.shape}, expected {p.value.shape}")
+            with np.errstate(over="ignore"):  # an overflow is reported just below
+                value = src.astype(p.value.dtype)
+            if not np.isfinite(value).all():
+                raise FormatError(f"checkpoint {path}: tensor {name!r} holds non-finite values")
+            p.value[...] = value
         return net
 
 
@@ -343,32 +422,6 @@ def evaluate(net: ToyPdcNet, samples: list[SegSample]) -> tuple[float, float, Co
 
 
 # --- training ----------------------------------------------------------------
-
-@dataclass
-class TrainConfig:
-    lr: float = 8e-3
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    poly_power: float = 0.9
-    epochs: int = 12
-    batch_size: int = 8
-    seed: int = 0
-    val_fraction: float = 0.1
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        for name, ok, want in (
-                ("lr", 0 < self.lr < math.inf, "positive and finite"),
-                ("momentum", 0 <= self.momentum < 1, "in [0,1)"),
-                ("weight_decay", 0 <= self.weight_decay < math.inf, "non-negative and finite"),
-                ("poly_power", 0 <= self.poly_power < math.inf, "non-negative and finite"),
-                ("epochs", self.epochs >= 1, "positive"),
-                ("batch_size", self.batch_size >= 1, "positive"),
-                ("val_fraction", 0 <= self.val_fraction < 1, "in [0,1)"),
-                ("seed", self.seed >= 0, "non-negative")):
-            if not ok:
-                raise ConfigurationError(f"{name} must be {want}, got {getattr(self, name)}")
-
 
 def poly_lr(lr0: float, iteration: int, max_iterations: int, power: float = 0.9) -> float:
     return lr0 * (1.0 - iteration / max_iterations) ** power

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import FormatError
 
 PDT_MAGIC = b"PDT1"
 PDCK_MAGIC = b"PDCK"
@@ -160,25 +160,3 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         raise FormatError(f"trailing bytes in {path}")
     return tensors
 
-
-def load_into(params: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
-    """Copy saved tensors into existing parameter arrays, strictly by name.
-
-    Values are checked here, where they enter the program: a tensor that is
-    not finite in the parameter's dtype is a FormatError."""
-    for name in saved:
-        if name not in params:
-            raise FormatError(f"checkpoint has unknown tensor {name!r}")
-    for name, dst in params.items():
-        if name not in saved:
-            raise FormatError(f"checkpoint is missing tensor {name!r}")
-        src = saved[name]
-        if src.shape != dst.shape:
-            raise DimensionError(
-                f"checkpoint tensor {name!r} has shape {src.shape}, expected {dst.shape}"
-            )
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            value = src.astype(dst.dtype)
-        if not np.isfinite(value).all():
-            raise FormatError(f"checkpoint tensor {name!r} holds non-finite values")
-        dst[...] = value

@@ -19,6 +19,12 @@ from .metrics import check_labels
 from .pdtio import atomic_write, read_pdt, write_pdt
 
 DEPTH_PAIR = (1, 2)  # (base region, offset region) of the depth-only pair
+DEPTH_GAP = (0.25, 0.35)  # range of the pair's depth step
+# max per-axis amplitude of a random planar depth ramp; blurs depth levels
+# within each region so the offset region is only visible as a local
+# discontinuity
+DEPTH_RAMP = 0.15
+RGB_NOISE = 0.02
 # extra shapes per scene, one band each in the right strip
 MIN_EXTRA_SHAPES, MAX_EXTRA_SHAPES = 1, 4
 
@@ -28,13 +34,7 @@ class SceneConfig:
     height: int = 48
     width: int = 48
     classes: int = 5
-    rgb_noise: float = 0.02
     depth_noise: float = 0.02
-    depth_gap: tuple[float, float] = (0.25, 0.35)
-    # max per-axis amplitude of a random planar depth ramp; blurs depth
-    # levels within each region so the offset region is only visible as a
-    # local discontinuity
-    depth_ramp: float = 0.15
 
     def __post_init__(self):
         if self.classes < 3:
@@ -53,11 +53,9 @@ class SceneConfig:
             raise ConfigurationError(
                 f"{MAX_EXTRA_SHAPES} extra shapes cannot cover classes 3..{self.classes - 1}"
             )
-        if self.depth_gap[0] < 0.2:
-            raise ConfigurationError("depth gap must be at least 0.2")
-        for name, value in (("rgb_noise", self.rgb_noise), ("depth_noise", self.depth_noise)):
-            if not 0.0 <= value < np.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 <= self.depth_noise < np.inf:
+            raise ConfigurationError(
+                f"depth_noise must be finite and >= 0, got {self.depth_noise}")
 
 
 @dataclass
@@ -112,7 +110,7 @@ def gen_scene(seed: int, cfg: SceneConfig) -> SegSample:
     # with only 3 classes the base must sit on the background plane so that
     # class 0 vs 1 stays a color-only pair
     base_plane = bg_plane if m == 3 else rng.uniform(0.4, 0.6)
-    gap = rng.uniform(*cfg.depth_gap)
+    gap = rng.uniform(*DEPTH_GAP)
     # random step direction (raised or sunken) where headroom allows, so the
     # pair is identified only by the local discontinuity, not the level
     can_raise = base_plane + gap <= 0.97
@@ -160,12 +158,11 @@ def gen_scene(seed: int, cfg: SceneConfig) -> SegSample:
             mask &= _rect_mask(h, w, 0, h, x0, x1)
         _paint(labels, rgb, depth, mask, cls, color, plane)
 
-    if cfg.depth_ramp > 0:
-        ax = rng.uniform(-cfg.depth_ramp, cfg.depth_ramp)
-        ay = rng.uniform(-cfg.depth_ramp, cfg.depth_ramp)
-        yy, xx = np.mgrid[:h, :w]
-        depth[0] += ax * (xx / w - 0.5) + ay * (yy / h - 0.5)
-    rgb += rng.normal(0.0, cfg.rgb_noise, size=rgb.shape)
+    ax = rng.uniform(-DEPTH_RAMP, DEPTH_RAMP)
+    ay = rng.uniform(-DEPTH_RAMP, DEPTH_RAMP)
+    yy, xx = np.mgrid[:h, :w]
+    depth[0] += ax * (xx / w - 0.5) + ay * (yy / h - 0.5)
+    rgb += rng.normal(0.0, RGB_NOISE, size=rgb.shape)
     depth += rng.normal(0.0, cfg.depth_noise, size=depth.shape)
     np.clip(rgb, 0.0, 1.0, out=rgb)
     np.clip(depth, 0.0, 1.0, out=depth)

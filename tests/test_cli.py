@@ -12,9 +12,8 @@ import pdconv
 from pdconv import checks
 from pdconv.autograd import GradReport
 from pdconv.cli import main
-from pdconv.config import load_run_config
 from pdconv.errors import ConfigurationError
-from pdconv.network import NetConfig, ToyPdcNet
+from pdconv.network import NetConfig, ToyPdcNet, load_run_config
 from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint, write_pdt
 
 
@@ -556,11 +555,11 @@ def _set_first(key, value):
 # each damage to a valid checkpoint, and what the error must name
 BAD_CHECKPOINTS = {
     "nan conv weight": (_set_first("s0.rgb_blk0.c1.w", np.nan),
-                        "checkpoint tensor 's0.rgb_blk0.c1.w' holds non-finite values"),
+                        "net.pdck: tensor 's0.rgb_blk0.c1.w' holds non-finite values"),
     "nan ecf eta": (_set_first("s0.ecf.eta", np.nan),
-                    "checkpoint tensor 's0.ecf.eta' holds non-finite values"),
+                    "net.pdck: tensor 's0.ecf.eta' holds non-finite values"),
     "inf stem gamma": (_set_first("stem_rgb.gamma", np.inf),
-                       "checkpoint tensor 'stem_rgb.gamma' holds non-finite values"),
+                       "net.pdck: tensor 'stem_rgb.gamma' holds non-finite values"),
     "alpha_value 2.0": (_set_first("meta.alpha_value", 2.0),
                         "net.pdck: 'meta.*' value out of range: alpha_value must be in [0,1]"),
     "classes 1": (_set_first("meta.classes", 1),
@@ -589,4 +588,32 @@ def test_eval_bad_checkpoint_values_are_format_error(damage, small_dataset, tmp_
     code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert named in err
+    assert f"checkpoint {ckpt}: " in err and named in err
+
+
+# each damage to a default-net checkpoint's parameter tensors, and what the
+# error must name after the file
+DAMAGED_TENSORS = {
+    "missing s2.ecf.eta": (lambda state: state.pop("s2.ecf.eta"),
+                           "missing tensor 's2.ecf.eta'"),
+    "extra zz": (lambda state: state.update({"zz": np.zeros(1, np.float32)}),
+                 "unknown tensor 'zz'"),
+    "shape s1.ecf.gate_rgb_w": (
+        lambda state: state.update({"s1.ecf.gate_rgb_w": np.zeros((32, 5, 1, 1), np.float32)}),
+        "tensor 's1.ecf.gate_rgb_w' has shape (32, 5, 1, 1), expected (32, 32, 1, 1)"),
+    "nan s0.ecf.eta": (_set_first("s0.ecf.eta", np.nan),
+                       "tensor 's0.ecf.eta' holds non-finite values"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_TENSORS))
+def test_eval_damaged_default_checkpoint_names_file_and_tensor(damage, small_dataset,
+                                                               tmp_path, capsys):
+    state = ToyPdcNet(NetConfig(), rng=np.random.default_rng(0)).state_dict()
+    change, named = DAMAGED_TENSORS[damage]
+    change(state)
+    ckpt = str(tmp_path / "net.pdck")
+    write_checkpoint(ckpt, state)
+    code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", small_dataset)
+    assert code == 1 and out == ""
+    assert err == f"error: checkpoint {ckpt}: {named}\n"

@@ -15,7 +15,7 @@ import pdconv
 from pdconv.errors import (ConfigurationError, ContractError, DataError, DimensionError,
                            FormatError, TrainingDiverged)
 from pdconv.metrics import ConfusionMatrix, metrics
-from pdconv import network
+from pdconv import network, scenes
 from pdconv.network import (EVAL_BATCH, NetConfig, SgdState, ToyPdcNet, TrainConfig,
                             evaluate, make_batch, normalize_depth, poly_lr, train)
 from pdconv.pdtio import write_checkpoint, write_pdt
@@ -184,9 +184,11 @@ class TestScenes:
         assert s.depth.min() >= 0.0 and s.depth.max() <= 1.0
         assert s.labels.min() >= 0 and s.labels.max() < cfg.classes
 
-    def test_depth_pair_same_color_distinct_depth(self):
+    def test_depth_pair_same_color_distinct_depth(self, monkeypatch):
         """The designated class pair must be color-ambiguous but depth-separated."""
-        cfg = SceneConfig(rgb_noise=0.0, depth_noise=0.0, depth_ramp=0.0)
+        monkeypatch.setattr(scenes, "RGB_NOISE", 0.0)
+        monkeypatch.setattr(scenes, "DEPTH_RAMP", 0.0)
+        cfg = SceneConfig(depth_noise=0.0)
         for seed in range(100):
             s = gen_scene(seed, cfg)
             base = s.labels == DEPTH_PAIR[0]
@@ -216,13 +218,10 @@ class TestScenes:
         with pytest.raises(ConfigurationError):
             SceneConfig(height=8, width=8)
         with pytest.raises(ConfigurationError):
-            SceneConfig(depth_gap=(0.1, 0.3))
-        with pytest.raises(ConfigurationError):
             SceneConfig(classes=12, width=20, height=20)
-        for field in ("rgb_noise", "depth_noise"):
-            for value in (-0.01, float("nan"), float("inf")):
-                with pytest.raises(ConfigurationError, match=field):
-                    SceneConfig(**{field: value})
+        for value in (-0.01, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="depth_noise"):
+                SceneConfig(depth_noise=value)
 
     def test_dataset_round_trip(self, tmp_path):
         cfg = SceneConfig(height=20, width=20, classes=4)
@@ -390,6 +389,44 @@ class TestNetwork:
         path = str(tmp_path / "net.pdck")
         write_checkpoint(path, state)
         with pytest.raises(FormatError, match=re.escape(f"checkpoint {path}: {named}")):
+            ToyPdcNet.load(path)
+
+    def test_load_rejects_unknown_tensor(self, tmp_path):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        state["zz"] = np.ones(2, dtype=np.float32)
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=re.escape(f"checkpoint {path}: unknown tensor 'zz'")):
+            ToyPdcNet.load(path)
+
+    def test_load_rejects_missing_tensor(self, tmp_path):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        del state["s2.ecf.eta"]
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=re.escape(
+                f"checkpoint {path}: missing tensor 's2.ecf.eta'")):
+            ToyPdcNet.load(path)
+
+    def test_load_rejects_shape_mismatch(self, tmp_path):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        state["s1.ecf.gate_rgb_w"] = np.zeros((6, 5, 1, 1), dtype=np.float32)
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(DimensionError, match=re.escape(
+                f"checkpoint {path}: tensor 's1.ecf.gate_rgb_w' has shape (6, 5, 1, 1), "
+                "expected (6, 6, 1, 1)")):
+            ToyPdcNet.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300], ids=repr)  # 1e300: inf as f32
+    def test_load_rejects_non_finite(self, tmp_path, value):
+        state = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(0)).state_dict()
+        state["stem_rgb.gamma"] = state["stem_rgb.gamma"].astype(np.float64)
+        state["stem_rgb.gamma"].flat[1] = value
+        path = str(tmp_path / "net.pdck")
+        write_checkpoint(path, state)
+        with pytest.raises(FormatError, match=re.escape(
+                f"checkpoint {path}: tensor 'stem_rgb.gamma' holds non-finite values")):
             ToyPdcNet.load(path)
 
     def test_default_net_backward_bit_identical(self):
