@@ -1,8 +1,8 @@
 """pdconv command-line interface.
 
 Subcommands: gradcheck, equivalence, rfmap, bench, gen, train, eval.
-Exit codes: 0 success, 1 check failure, 2 bad arguments (a path of the wrong
-kind included), 3 missing file, 4 training divergence.
+Exit codes: 0 success, 1 check failure or out of memory, 2 bad arguments
+(a path of the wrong kind included), 3 missing file, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -278,6 +278,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except PdconvError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_FAIL
 
 

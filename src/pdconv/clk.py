@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .errors import ConfigurationError
-from .pdc import PdcLayer, init_weights, make_pdc_layer, pdc_forward
+from .pdc import PdcLayer, Pointwise, make_pdc_layer, make_pointwise, pdc_forward
 
 LOCAL_KERNEL = (5, 5)
 LOCAL_DILATION = 1
@@ -33,32 +33,29 @@ class ClkLayer:
     """Depthwise 5x5 d1 -> depthwise 7x7 d3 (the CPDC cascade at blend 0) -> 1x1."""
 
     cascade: CpdcLayer
-    pw_w: ag.Var
-    pw_b: ag.Var
+    pw: Pointwise
 
     def parameters(self, prefix: str = "clk") -> dict[str, ag.Var]:
         # the fixed blends are constants, so the stages' alphas are not listed
         return {f"{prefix}.dw_local": self.cascade.stage_local.weights,
                 f"{prefix}.dw_long": self.cascade.stage_long.weights,
-                f"{prefix}.pw_w": self.pw_w, f"{prefix}.pw_b": self.pw_b}
+                **self.pw.parameters(f"{prefix}.pw")}
 
 
 def make_clk_layer(channels: int, rng: np.random.Generator, dtype=np.float32) -> ClkLayer:
     return ClkLayer(make_cpdc_layer(channels, rng, dtype, alpha_fixed=0.0, with_gate=False),
-                    ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype)),
-                    ag.parameter(np.zeros(channels, dtype=dtype)))
+                    make_pointwise(channels, channels, rng, dtype))
 
 
 def clk_forward(x, layer: ClkLayer) -> ag.Var:
     """Cascade mode: pointwise(long(local(x)))."""
-    return ag.pointwise(cpdc_raw(x, layer.cascade), layer.pw_w, layer.pw_b)
+    return layer.pw(cpdc_raw(x, layer.cascade))
 
 
 def parallel_forward(x, layer: ClkLayer) -> ag.Var:
     """Parallel baseline: pointwise(local(x) + long(x))."""
-    y = ag.add(pdc_forward(x, layer.cascade.stage_local),
-               pdc_forward(x, layer.cascade.stage_long))
-    return ag.pointwise(y, layer.pw_w, layer.pw_b)
+    return layer.pw(ag.add(pdc_forward(x, layer.cascade.stage_local),
+                           pdc_forward(x, layer.cascade.stage_long)))
 
 
 @dataclass
@@ -67,16 +64,14 @@ class CpdcLayer:
 
     stage_local: PdcLayer
     stage_long: PdcLayer
-    gate_w: ag.Var | None = None
-    gate_b: ag.Var | None = None
+    gate: Pointwise | None = None
 
     def parameters(self, prefix: str = "cpdc") -> dict[str, ag.Var]:
         params = {}
         params.update(self.stage_local.parameters(f"{prefix}.local"))
         params.update(self.stage_long.parameters(f"{prefix}.long"))
-        if self.gate_w is not None:
-            params[f"{prefix}.gate_w"] = self.gate_w
-            params[f"{prefix}.gate_b"] = self.gate_b
+        if self.gate is not None:
+            params.update(self.gate.parameters(f"{prefix}.gate"))
         return params
 
 
@@ -89,11 +84,8 @@ def make_cpdc_layer(channels: int, rng: np.random.Generator, dtype=np.float32,
     stage_long = make_pdc_layer(channels, LONG_KERNEL, LONG_DILATION, rng=rng,
                                 dtype=dtype, alpha_init=alpha_init,
                                 alpha_fixed=alpha_fixed, with_gate=False)
-    gate_w = gate_b = None
-    if with_gate:
-        gate_w = ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype))
-        gate_b = ag.parameter(np.zeros(channels, dtype=dtype))
-    return CpdcLayer(stage_local, stage_long, gate_w, gate_b)
+    gate = make_pointwise(channels, channels, rng, dtype) if with_gate else None
+    return CpdcLayer(stage_local, stage_long, gate)
 
 
 def cpdc_raw(x, layer: CpdcLayer) -> ag.Var:
@@ -104,11 +96,9 @@ def cpdc_raw(x, layer: CpdcLayer) -> ag.Var:
 def cpdc_forward(x, layer: CpdcLayer) -> ag.Var:
     """Gated output: pointwise(cpdc_raw(x)) elementwise-multiplied by x."""
     x = ag.as_var(x)
-    if layer.gate_w is None:
+    if layer.gate is None:
         raise ConfigurationError("layer has no gate weights")
-    feat = cpdc_raw(x, layer)
-    gate = ag.pointwise(feat, layer.gate_w, layer.gate_b)
-    return ag.mul(gate, x)
+    return ag.mul(layer.gate(cpdc_raw(x, layer)), x)
 
 
 # --- receptive-field analysis --------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import DimensionError
-from .pdc import init_weights
+from .pdc import Pointwise, make_pointwise
 
 
 @dataclass
@@ -23,30 +23,21 @@ class EcfLayer:
 
     eta: ag.Var        # scalar weight on the RGB term
     lam: ag.Var        # scalar weight on the depth term
-    gate_rgb_w: ag.Var
-    gate_rgb_b: ag.Var
-    gate_depth_w: ag.Var
-    gate_depth_b: ag.Var
+    gate_rgb: Pointwise
+    gate_depth: Pointwise
 
     def parameters(self, prefix: str = "ecf") -> dict[str, ag.Var]:
-        return {
-            f"{prefix}.eta": self.eta,
-            f"{prefix}.lambda": self.lam,
-            f"{prefix}.gate_rgb_w": self.gate_rgb_w,
-            f"{prefix}.gate_rgb_b": self.gate_rgb_b,
-            f"{prefix}.gate_depth_w": self.gate_depth_w,
-            f"{prefix}.gate_depth_b": self.gate_depth_b,
-        }
+        return {f"{prefix}.eta": self.eta, f"{prefix}.lambda": self.lam,
+                **self.gate_rgb.parameters(f"{prefix}.gate_rgb"),
+                **self.gate_depth.parameters(f"{prefix}.gate_depth")}
 
 
 def make_ecf_layer(channels: int, rng: np.random.Generator, dtype=np.float32) -> EcfLayer:
     return EcfLayer(
         eta=ag.parameter(np.asarray(0.5, dtype=dtype)),
         lam=ag.parameter(np.asarray(0.5, dtype=dtype)),
-        gate_rgb_w=ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype)),
-        gate_rgb_b=ag.parameter(np.zeros(channels, dtype=dtype)),
-        gate_depth_w=ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype)),
-        gate_depth_b=ag.parameter(np.zeros(channels, dtype=dtype)),
+        gate_rgb=make_pointwise(channels, channels, rng, dtype),
+        gate_depth=make_pointwise(channels, channels, rng, dtype),
     )
 
 
@@ -58,8 +49,6 @@ def ecf_fuse(f_rgb, f_depth, hat_rgb, hat_depth, layer: EcfLayer) -> ag.Var:
     for name, t in (("f_depth", f_depth), ("hat_rgb", hat_rgb), ("hat_depth", hat_depth)):
         if t.value.shape != shape:
             raise DimensionError(f"{name} shape {t.value.shape} does not match f_rgb {shape}")
-    rgb_term = ag.add(ag.mul(ag.pointwise(hat_rgb, layer.gate_rgb_w, layer.gate_rgb_b),
-                             hat_rgb), f_rgb)
-    depth_term = ag.add(ag.mul(ag.pointwise(hat_depth, layer.gate_depth_w, layer.gate_depth_b),
-                               hat_depth), f_depth)
+    rgb_term = ag.add(ag.mul(layer.gate_rgb(hat_rgb), hat_rgb), f_rgb)
+    depth_term = ag.add(ag.mul(layer.gate_depth(hat_depth), hat_depth), f_depth)
     return ag.add(ag.mul(rgb_term, layer.eta), ag.mul(depth_term, layer.lam))

@@ -29,7 +29,7 @@ from .clk import CpdcLayer, cpdc_raw, make_cpdc_layer
 from .errors import ConfigurationError, DimensionError, FormatError, TrainingDiverged
 from .fusion import ecf_fuse, make_ecf_layer
 from .metrics import ConfusionMatrix
-from .pdc import init_weights, make_pdc_layer, pdc_forward
+from .pdc import init_weights, make_pdc_layer, make_pointwise, pdc_forward
 from .pdtio import read_checkpoint, write_checkpoint
 from .scenes import SegSample
 
@@ -220,12 +220,16 @@ def load_run_config(path: str) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown top-level key(s) {sorted(unknown)} in {path}")
     try:
-        return RunConfig(
+        run = RunConfig(
             seed=_typed(data.get("seed", 0), 0, "seed"),
             model=_build(NetConfig, data.get("model", {}), "model", skip=_MODEL_SET_PER_RUN),
             training=_build(TrainConfig, data.get("training", {}), "training",
                             skip=_TRAINING_SET_PER_RUN),
         )
+        if "alpha_value" in data.get("model", {}) and run.model.alpha_mode == "learnable":
+            raise ConfigurationError("model.alpha_value has no effect while model.alpha_mode "
+                                     "is 'learnable'; set alpha_mode 'fixed' or drop alpha_value")
+        return run
     except ConfigurationError as e:
         raise ConfigurationError(f"config {path}: {e}") from None
 
@@ -274,15 +278,9 @@ class ToyPdcNet:
             self.stages.append((*trans, *blocks, *ops, ecf))
             prev = c
         dc = cfg.decoder_channels
-        self.proj_low_w = ag.parameter(init_weights(rng, (dc, ch[0], 1, 1), dtype))
-        self.proj_low_b = ag.parameter(np.zeros(dc, dtype=dtype))
-        self.proj_high_w = ag.parameter(init_weights(rng, (dc, ch[-1], 1, 1), dtype))
-        self.proj_high_b = ag.parameter(np.zeros(dc, dtype=dtype))
-        self.cls_w = ag.parameter(init_weights(rng, (cfg.classes, 2 * dc, 1, 1), dtype))
-        self.cls_b = ag.parameter(np.zeros(cfg.classes, dtype=dtype))
-        self._params.update({"dec.low_w": self.proj_low_w, "dec.low_b": self.proj_low_b,
-                             "dec.high_w": self.proj_high_w, "dec.high_b": self.proj_high_b,
-                             "dec.cls_w": self.cls_w, "dec.cls_b": self.cls_b})
+        self.dec_low = named("dec.low", make_pointwise(ch[0], dc, rng, dtype))
+        self.dec_high = named("dec.high", make_pointwise(ch[-1], dc, rng, dtype))
+        self.dec_cls = named("dec.cls", make_pointwise(2 * dc, cfg.classes, rng, dtype))
 
     # -- parameters --------------------------------------------------------
 
@@ -315,10 +313,9 @@ class ToyPdcNet:
                 xd = blk(xd)
             xr = ecf_fuse(xr, xd, self._op_raw(op_r, xr), self._op_raw(op_d, xd), ecf)
             fused_maps.append(xr)  # the depth branch continues un-fused
-        low = ag.pointwise(fused_maps[0], self.proj_low_w, self.proj_low_b)
-        high = ag.pointwise(fused_maps[-1], self.proj_high_w, self.proj_high_b)
-        high = ag.upsample_bilinear(high, low.value.shape[2:])
-        logits = ag.pointwise(ag.concat_channels(low, high), self.cls_w, self.cls_b)
+        low = self.dec_low(fused_maps[0])
+        high = ag.upsample_bilinear(self.dec_high(fused_maps[-1]), low.value.shape[2:])
+        logits = self.dec_cls(ag.concat_channels(low, high))
         return ag.upsample_bilinear(logits, (h, w))
 
     # -- persistence ---------------------------------------------------------

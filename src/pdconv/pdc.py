@@ -29,8 +29,7 @@ class PdcLayer:
     weights: ag.Var                # (C, 1, kh, kw)
     spec: T.ConvSpec               # depthwise: groups == C
     alpha_raw: ag.Var              # stored scalar, squashed by logistic
-    gate_w: ag.Var | None = None   # (C, C, 1, 1)
-    gate_b: ag.Var | None = None   # (C,)
+    gate: Pointwise | None = None  # C -> C
     mode: str = "rewritten"        # or "definitional"; checked by pdc_forward
     alpha_fixed: float | None = None
 
@@ -42,9 +41,8 @@ class PdcLayer:
         # alpha is always listed, even in fixed mode where its gradient is
         # exactly zero, so every variant has the same parameter count
         params = {f"{prefix}.dw": self.weights, f"{prefix}.alpha": self.alpha_raw}
-        if self.gate_w is not None:
-            params[f"{prefix}.gate_w"] = self.gate_w
-            params[f"{prefix}.gate_b"] = self.gate_b
+        if self.gate is not None:
+            params.update(self.gate.parameters(f"{prefix}.gate"))
         return params
 
 
@@ -55,6 +53,25 @@ def init_weights(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+@dataclass
+class Pointwise:
+    """1x1 conv with bias: the operator gates, CLK's mix, ECF's gates, the decoder."""
+
+    w: ag.Var  # (C_out, C_in, 1, 1)
+    b: ag.Var  # (C_out,)
+
+    def __call__(self, x) -> ag.Var:
+        return ag.pointwise(x, self.w, self.b)
+
+    def parameters(self, prefix: str) -> dict[str, ag.Var]:
+        return {f"{prefix}_w": self.w, f"{prefix}_b": self.b}
+
+
+def make_pointwise(c_in: int, c_out: int, rng: np.random.Generator, dtype) -> Pointwise:
+    return Pointwise(ag.parameter(init_weights(rng, (c_out, c_in, 1, 1), dtype)),
+                     ag.parameter(np.zeros(c_out, dtype=dtype)))
+
+
 def make_pdc_layer(channels: int, kernel: tuple[int, int] = (5, 5), dilation: int = 1,
                    *, rng: np.random.Generator, dtype=np.float32,
                    alpha_init: float = 0.0, alpha_fixed: float | None = None,
@@ -62,11 +79,8 @@ def make_pdc_layer(channels: int, kernel: tuple[int, int] = (5, 5), dilation: in
     spec = T.depthwise_spec(channels, kernel, dilation)
     weights = ag.parameter(init_weights(rng, (channels, 1) + kernel, dtype))
     alpha_raw = ag.parameter(np.asarray(alpha_init, dtype=dtype))
-    gate_w = gate_b = None
-    if with_gate:
-        gate_w = ag.parameter(init_weights(rng, (channels, channels, 1, 1), dtype))
-        gate_b = ag.parameter(np.zeros(channels, dtype=dtype))
-    return PdcLayer(weights, spec, alpha_raw, gate_w, gate_b, alpha_fixed=alpha_fixed)
+    gate = make_pointwise(channels, channels, rng, dtype) if with_gate else None
+    return PdcLayer(weights, spec, alpha_raw, gate, alpha_fixed=alpha_fixed)
 
 
 def alpha_effective(layer: PdcLayer) -> ag.Var:
@@ -124,11 +138,9 @@ def pdc_forward(x, layer: PdcLayer) -> ag.Var:
 def pdc_gated(x, layer: PdcLayer) -> ag.Var:
     """Channel-gated output: pointwise(pdc(x)) elementwise-multiplied by x."""
     x = ag.as_var(x)
-    if layer.gate_w is None:
+    if layer.gate is None:
         raise ConfigurationError("layer has no gate weights")
-    feat = pdc_forward(x, layer)
-    gate = ag.pointwise(feat, layer.gate_w, layer.gate_b)
-    return ag.mul(gate, x)
+    return ag.mul(layer.gate(pdc_forward(x, layer)), x)
 
 
 def equivalence_deviation(seeds: int, dtype=np.float32) -> float:

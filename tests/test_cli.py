@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 
@@ -11,9 +12,9 @@ import pytest
 import pdconv
 from pdconv import checks
 from pdconv.autograd import GradReport
-from pdconv.cli import main
+from pdconv.cli import build_parser, main
 from pdconv.errors import ConfigurationError
-from pdconv.network import NetConfig, ToyPdcNet, load_run_config
+from pdconv.network import NetConfig, RunConfig, ToyPdcNet, load_run_config
 from pdconv.pdtio import read_checkpoint, read_pdt, write_checkpoint, write_pdt
 
 
@@ -231,6 +232,53 @@ class TestGenCommand:
         assert json.loads((out / "manifest.json").read_text())["count"] == 0
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_block(after: str, fence: str) -> str:
+    """The first ``fence`` code block that follows the line ``after`` in README."""
+    text = open(README).read()
+    return text[text.index(after):].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_lines_parse():
+    lines = [line for line in _readme_block("## CLI", "sh").splitlines()
+             if line.startswith("pdconv ")]
+    assert len(lines) == 7
+    for line in lines:
+        words = line.split("#")[0].replace("[", " ").replace("]", " ").split()
+        build_parser().parse_args([w.split("|")[0] for w in words[1:]])
+
+
+def test_readme_run_json_is_the_defaults(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(_readme_block("`run.json` is strict JSON", "json"))
+    assert load_run_config(str(path)) == RunConfig()
+
+
+def _limit_address_space():
+    # in the child: 4 GB, far below what each case asks for, so the
+    # allocation fails at once and never takes the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_out_of_memory_is_one_error_line(command, small_dataset, tmp_path):
+    config = str(tmp_path / "huge.json")
+    with open(config, "w") as f:
+        json.dump({"model": {"channels": [100000]}}, f)
+    argv = {"gen": ["gen", "--out", str(tmp_path / "g"), "--count", "1", "--seed", "0",
+                    "--height", "200000", "--width", "200000"],
+            "train": ["train", "--config", config, "--data", small_dataset,
+                      "--out", str(tmp_path / "net.pdck")]}[command]
+    src = os.path.dirname(os.path.dirname(pdconv.__file__))
+    done = subprocess.run([sys.executable, "-m", "pdconv.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=_limit_address_space, timeout=120)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+
+
 class TestTrainEvalFlow:
     def test_train_then_eval(self, small_dataset, config_path, tmp_path, capsys):
         ckpt = str(tmp_path / "net.pdck")
@@ -422,10 +470,24 @@ class TestRunConfig:
     def test_int_stands_for_float(self, tmp_path):
         path = str(tmp_path / "c.json")
         with open(path, "w") as f:
-            json.dump({"model": {"alpha_value": 1}, "training": {"lr": 1}}, f)
+            json.dump({"model": {"alpha_mode": "fixed", "alpha_value": 1},
+                       "training": {"lr": 1}}, f)
         cfg = load_run_config(path)
         assert cfg.model.alpha_value == 1.0 and isinstance(cfg.model.alpha_value, float)
         assert cfg.training.lr == 1.0 and isinstance(cfg.training.lr, float)
+
+    def test_alpha_value_refused_unless_fixed(self, tmp_path):
+        # a learnable blend ignores alpha_value, so setting it is an error
+        path = str(tmp_path / "c.json")
+        for model in ({"alpha_value": 0.3}, {"alpha_mode": "learnable", "alpha_value": 0.5}):
+            with open(path, "w") as f:
+                json.dump({"model": model}, f)
+            with pytest.raises(ConfigurationError,
+                               match=r"model\.alpha_value .* model\.alpha_mode is 'learnable'"):
+                load_run_config(path)
+        with open(path, "w") as f:
+            json.dump({"model": {"alpha_mode": "fixed", "alpha_value": 0.3}}, f)
+        assert load_run_config(path).model.alpha_value == 0.3
 
 
 # each malformed config, and what the error must name
@@ -435,6 +497,8 @@ MALFORMED_CONFIGS = [
     ({"model": {"channels": []}}, "model.channels must be a non-empty list"),
     ({"model": {"channels": [4.5]}}, "model.channels must be int"),
     ({"model": {"alpha_value": 2}}, "alpha_value must be in [0,1]"),
+    ({"model": {"alpha_value": 0.3}},
+     "model.alpha_value has no effect while model.alpha_mode is 'learnable'"),
     ({"model": {"blocks_per_stage": True}}, "model.blocks_per_stage must be int"),
     ({"seed": "abc"}, "seed must be int"),
     ({"seed": -1}, "seed must be non-negative"),

@@ -19,8 +19,8 @@ def identity_clk(channels=2):
     layer.cascade.stage_local.weights.value[:, 0, 2, 2] = 1.0
     layer.cascade.stage_long.weights.value[:] = 0.0
     layer.cascade.stage_long.weights.value[:, 0, 3, 3] = 1.0
-    layer.pw_w.value[:] = np.eye(channels).reshape(channels, channels, 1, 1)
-    layer.pw_b.value[:] = 0.0
+    layer.pw.w.value[:] = np.eye(channels).reshape(channels, channels, 1, 1)
+    layer.pw.b.value[:] = 0.0
     return layer
 
 
@@ -34,7 +34,7 @@ def test_clk_is_the_cpdc_cascade_at_blend_zero():
     layer = make_clk_layer(2, rng=np.random.default_rng(0))
     stages = (layer.cascade.stage_local, layer.cascade.stage_long)
     assert [stage.alpha_fixed for stage in stages] == [0.0, 0.0]
-    assert layer.cascade.gate_w is None
+    assert layer.cascade.gate is None
     params = layer.parameters()
     assert list(params) == ["clk.dw_local", "clk.dw_long", "clk.pw_w", "clk.pw_b"]
     # the weights are drawn in the order dw_local, dw_long, pw_w
@@ -50,7 +50,7 @@ def test_cascade_matches_sequential_convs():
     got = clk_forward(x, layer).value
     y = T.conv2d(x, layer.cascade.stage_local.weights.value, layer.cascade.stage_local.spec)
     y = T.conv2d(y, layer.cascade.stage_long.weights.value, layer.cascade.stage_long.spec)
-    want = T.conv2d(y, layer.pw_w.value, T.pointwise_spec(), layer.pw_b.value)
+    want = T.conv2d(y, layer.pw.w.value, T.pointwise_spec(), layer.pw.b.value)
     np.testing.assert_array_equal(got, want)
 
 
@@ -67,7 +67,7 @@ def test_parallel_matches_sum_of_convs():
     got = parallel_forward(x, layer).value
     y = (T.conv2d(x, layer.cascade.stage_local.weights.value, layer.cascade.stage_local.spec)
          + T.conv2d(x, layer.cascade.stage_long.weights.value, layer.cascade.stage_long.spec))
-    want = T.conv2d(y, layer.pw_w.value, T.pointwise_spec(), layer.pw_b.value)
+    want = T.conv2d(y, layer.pw.w.value, T.pointwise_spec(), layer.pw.b.value)
     np.testing.assert_array_equal(got, want)
 
 
@@ -85,8 +85,8 @@ class TestCpdc:
         for stage, center in ((layer.stage_local, 2), (layer.stage_long, 3)):
             stage.weights.value[:] = 0.0
             stage.weights.value[:, 0, center, center] = 1.0
-        layer.gate_w.value[:] = np.eye(2).reshape(2, 2, 1, 1)
-        layer.gate_b.value[:] = 0.0
+        layer.gate.w.value[:] = np.eye(2).reshape(2, 2, 1, 1)
+        layer.gate.b.value[:] = 0.0
         x = np.random.default_rng(6).standard_normal((1, 2, 8, 8))
         np.testing.assert_allclose(cpdc_forward(x, layer).value, x * x, atol=1e-12)
 
@@ -105,7 +105,7 @@ class TestCpdc:
         x = rng.standard_normal((1, 2, 9, 9))
         got = cpdc_forward(x, layer).value
         feat = pdc_forward(pdc_forward(ag.Var(x), layer.stage_local), layer.stage_long)
-        gate = T.conv2d(feat.value, layer.gate_w.value, T.pointwise_spec(), layer.gate_b.value)
+        gate = T.conv2d(feat.value, layer.gate.w.value, T.pointwise_spec(), layer.gate.b.value)
         np.testing.assert_array_equal(got, gate * x)
 
 

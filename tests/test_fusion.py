@@ -13,10 +13,10 @@ def make_inputs(rng, channels=2, size=6):
 
 
 def zero_gates(layer):
-    layer.gate_rgb_w.value[:] = 0.0
-    layer.gate_rgb_b.value[:] = 0.0
-    layer.gate_depth_w.value[:] = 0.0
-    layer.gate_depth_b.value[:] = 0.0
+    layer.gate_rgb.w.value[:] = 0.0
+    layer.gate_rgb.b.value[:] = 0.0
+    layer.gate_depth.w.value[:] = 0.0
+    layer.gate_depth.b.value[:] = 0.0
 
 
 def test_zero_gates_reduce_to_weighted_residual_sum():
@@ -56,8 +56,8 @@ def test_matches_composition_of_primitives():
     layer = make_ecf_layer(2, rng=rng, dtype=np.float64)
     fr, fd, hr, hd = make_inputs(rng)
     got = ecf_fuse(fr, fd, hr, hd, layer).value
-    gate_r = T.conv2d(hr, layer.gate_rgb_w.value, T.pointwise_spec(), layer.gate_rgb_b.value)
-    gate_d = T.conv2d(hd, layer.gate_depth_w.value, T.pointwise_spec(), layer.gate_depth_b.value)
+    gate_r = T.conv2d(hr, layer.gate_rgb.w.value, T.pointwise_spec(), layer.gate_rgb.b.value)
+    gate_d = T.conv2d(hd, layer.gate_depth.w.value, T.pointwise_spec(), layer.gate_depth.b.value)
     want = (float(layer.eta.value) * (gate_r * hr + fr)
             + float(layer.lam.value) * (gate_d * hd + fd))
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -67,7 +67,7 @@ def test_gates_act_per_branch():
     rng = np.random.default_rng(4)
     layer = make_ecf_layer(2, rng=rng, dtype=np.float64)
     zero_gates(layer)
-    layer.gate_rgb_b.value[:] = 1.0  # RGB gate becomes constant 1
+    layer.gate_rgb.b.value[:] = 1.0  # RGB gate becomes constant 1
     fr, fd, hr, hd = make_inputs(rng)
     out = ecf_fuse(fr, fd, hr, hd, layer).value
     np.testing.assert_allclose(out, 0.5 * (hr + fr) + 0.5 * fd, atol=1e-12)

@@ -257,8 +257,8 @@ class TestNetwork:
 
     def test_zeroed_classifier_gives_uniform_logits(self):
         net = ToyPdcNet(SMALL_NET, rng=np.random.default_rng(1))
-        net.cls_w.value[:] = 0.0
-        net.cls_b.value[:] = 0.0
+        net.dec_cls.w.value[:] = 0.0
+        net.dec_cls.b.value[:] = 0.0
         _, (rgb, depth, labels) = small_batch()
         logits = net.forward(rgb, depth)
         np.testing.assert_array_equal(logits.value, np.zeros_like(logits.value))

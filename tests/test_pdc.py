@@ -4,8 +4,8 @@ import pytest
 from pdconv import autograd as ag
 from pdconv import tensor as T
 from pdconv.errors import ConfigurationError, DimensionError
-from pdconv.pdc import (alpha_effective, equivalence_deviation, make_pdc_layer,
-                        pdc_forward, pdc_gated)
+from pdconv.pdc import (alpha_effective, equivalence_deviation, init_weights,
+                        make_pdc_layer, make_pointwise, pdc_forward, pdc_gated)
 
 from naive import naive_conv2d
 
@@ -161,8 +161,8 @@ class TestGated:
     def test_zero_gate_annihilates(self):
         rng = np.random.default_rng(6)
         layer = make_pdc_layer(2, rng=rng, dtype=np.float64)
-        layer.gate_w.value[:] = 0.0
-        layer.gate_b.value[:] = 0.0
+        layer.gate.w.value[:] = 0.0
+        layer.gate.b.value[:] = 0.0
         out = pdc_gated(rng.standard_normal((1, 2, 6, 6)), layer).value
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -170,8 +170,8 @@ class TestGated:
         layer = fixed_alpha_layer(2, 0.0, np.random.default_rng(7))
         layer.weights.value[:] = 0.0
         layer.weights.value[:, 0, 2, 2] = 1.0  # identity 5x5 kernel
-        layer.gate_w.value[:] = np.eye(2).reshape(2, 2, 1, 1)
-        layer.gate_b.value[:] = 0.0
+        layer.gate.w.value[:] = np.eye(2).reshape(2, 2, 1, 1)
+        layer.gate.b.value[:] = 0.0
         x = np.random.default_rng(8).standard_normal((1, 2, 6, 6))
         np.testing.assert_allclose(pdc_gated(x, layer).value, x * x, rtol=1e-12)
 
@@ -181,8 +181,26 @@ class TestGated:
         x = rng.standard_normal((1, 2, 7, 7))
         got = pdc_gated(x, layer).value
         feat = pdc_forward(x, layer).value
-        gate = T.conv2d(feat, layer.gate_w.value, T.pointwise_spec(), layer.gate_b.value)
+        gate = T.conv2d(feat, layer.gate.w.value, T.pointwise_spec(), layer.gate.b.value)
         np.testing.assert_array_equal(got, gate * x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointwise_draws_names_and_applies_one_1x1_conv(dtype):
+    rng, ref = np.random.default_rng(10), np.random.default_rng(10)
+    layer = make_pointwise(3, 4, rng, dtype)
+    np.testing.assert_array_equal(layer.w.value, init_weights(ref, (4, 3, 1, 1), dtype))
+    np.testing.assert_array_equal(layer.b.value, np.zeros(4, dtype=dtype))
+    assert layer.w.value.dtype == layer.b.value.dtype == dtype
+    # the zero bias draws nothing: both generators stand at the same place
+    assert rng.bit_generator.state == ref.bit_generator.state
+    params = layer.parameters("p")
+    assert list(params) == ["p_w", "p_b"]
+    assert params["p_w"] is layer.w and params["p_b"] is layer.b
+    layer.b.value[:] = np.arange(4)  # a bias that shows in the output
+    x = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
+    want = T.conv2d(x, layer.w.value, T.pointwise_spec(), layer.b.value)
+    assert layer(x).value.tobytes() == want.tobytes()
 
 
 class TestAlphaEffective:
